@@ -1,9 +1,10 @@
 """Command line surface.
 
-One binary, subcommand per operation.  Machine formats (json, csv) are
-deterministic: identical argv produces byte-identical output, whatever
---jobs says, so scan results can be diffed across runs.  Timings go to
-stderr only.
+One binary, subcommand per operation.  Scans run in one process on the
+row kernel engine.level_rows; --jobs is accepted for compatibility and
+selects nothing.  Machine formats (json, csv) are deterministic:
+identical argv produces byte-identical output, so scan results can be
+diffed across runs.  Timings go to stderr only.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid code,
 state, configuration or expansion), 3 scan completed and found
@@ -442,8 +443,9 @@ def _cmd_hat_simulate(args, out: _Writer) -> int:
 
 def _cmd_hat_chain(args, out: _Writer) -> int:
     cfg = (args.a, args.b, args.c)
-    links = chain(cfg, abbreviated=not args.full)
-    length = len(chain(cfg))
+    full = chain(cfg, abbreviated=False)
+    length = max(len(full) - 1, 1)
+    links = full if args.full else full[:length]
     doc = {"config": list(cfg), "abbreviated": not args.full,
            "chain": [list(s) for s in links], "length": length}
     _emit_doc(args, out, doc,
@@ -499,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
     common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for scans (default 1)")
+                        help="accepted for compatibility; scans run in one process")
     common.add_argument("--out", metavar="PATH",
                         help="write payload to PATH instead of stdout")
     common.add_argument("--unsafe-no-cap", action="store_true",

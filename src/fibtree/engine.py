@@ -14,7 +14,9 @@ to the code possible.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
+from operator import add
 from typing import Iterator
 
 State = tuple[int, int, int]
@@ -137,6 +139,38 @@ def enumerate_codes(length: int) -> Iterator[str]:
         raise DomainError("length must be >= 0")
     for n in range(1 << length):
         yield format(n, f"0{length}b") if length else ""
+
+
+def level_rows(max_len: int,
+               root: State = ROOT) -> Iterator[tuple[array, array, array]]:
+    """The states of every code, one level per length 0..max_len.
+
+    Each level is three array('Q') rows (a, b, c) indexed like
+    enumerate_codes: the state of the code spelling i in L bits sits at
+    index i.  A code's children append its last bit, so level L+1 is
+    level L interleaved: step 0 maps (a, b) to (a, c) and step 1 to
+    (b, c).  Only the previous level is held.  Entries past 2**64 - 1
+    raise OverflowError rather than wrap.
+    """
+    if max_len < 0:
+        raise DomainError("max_len must be >= 0")
+    a_row, b_row, c_row = (array("Q", [x]) for x in as_root(root))
+    yield a_row, b_row, c_row
+    for _ in range(max_len):
+        size = 2 * len(c_row)
+        a_next, b_next = array("Q", bytes(8 * size)), array("Q", bytes(8 * size))
+        a_next[0::2], a_next[1::2] = a_row, b_row
+        b_next[0::2] = b_next[1::2] = c_row
+        a_row, b_row = a_next, b_next
+        c_row = array("Q", map(add, a_row, b_row))
+        yield a_row, b_row, c_row
+
+
+def level_row(length: int, root: State = ROOT) -> tuple[array, array, array]:
+    """The (a, b, c) rows of one length: the last level of level_rows."""
+    for rows in level_rows(length, root):
+        pass
+    return rows
 
 
 def enumerate_states(max_third_entry: int) -> Iterator[tuple[State, str]]:

@@ -39,22 +39,21 @@ def _runs(code: str) -> list[int]:
     return out
 
 
-def cluster_profile(code: str) -> ClusterProfile:
-    code = as_code(code)
-    if not code:
+def _cluster_runs(code: str) -> list[int]:
+    if not as_code(code):
         raise DomainError("cluster metrics are undefined for the empty code")
-    runs = _runs(code)
+    return _runs(code)
+
+
+def cluster_profile(code: str) -> ClusterProfile:
+    runs = _cluster_runs(code)
     per_position = tuple(m for m in runs for _ in range(m))
     return ClusterProfile(tuple(runs), per_position)
 
 
 def cluster_average(code: str) -> Fraction:
-    profile = cluster_profile(code)
-    n = len(code)
-    return Fraction(sum(m * m for m in profile.run_lengths), n)
+    return Fraction(sum(m * m for m in _cluster_runs(code)), len(code))
 
 
 def cluster_variance(code: str) -> Fraction:
-    profile = cluster_profile(code)
-    n = len(code)
-    return Fraction(sum(m ** 3 for m in profile.run_lengths), n)
+    return Fraction(sum(m ** 3 for m in _cluster_runs(code)), len(code))

@@ -2,26 +2,28 @@
 
 Each scan enumerates a declared scope, checks one statement, and returns
 a report whose violation records carry enough data to replay the check.
-Scans are deterministic: the same parameters produce the same report
-regardless of the parallelism degree, because the code space is
-partitioned by fixed prefixes and partial results are merged in
-partition order.  Wall-clock timing is kept out of the serialized
-payload so that re-runs compare byte-identical.
+Values come one length at a time from the row kernel
+engine.level_rows, indexed by the code read as a binary number.
+Reflection permutes that index; the bit-reversal rows are built here the
+same way, each from the one before, so a reflection check is one row
+comparison.  Scans run in one process and are deterministic: the same
+parameters produce the same report, and the jobs arguments are accepted
+for compatibility and select nothing.  Wall-clock timing is kept out of
+the serialized payload so that re-runs compare byte-identical.
 """
 
 from __future__ import annotations
 
-import time
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
+from math import comb, gcd
+from operator import add
 
-from .engine import ROOT, State, apply_step, evaluate, value
+from .engine import State, level_row, level_rows, value
 from .errors import DomainError
 from .metrics import cluster_variance, weight
-
-_PARTITION_BITS = 4
 
 
 # ---------------------------------------------------------------- reports
@@ -31,7 +33,6 @@ class ScanReport:
     scope: str
     checked: int
     violations: list = field(default_factory=list)
-    elapsed_ms: float | None = None
     # set only when the violations list was truncated to a cap
     violations_total: int | None = None
 
@@ -94,7 +95,6 @@ class RootScanReport:
     scope: str
     checked: int
     survivors: list[State]
-    elapsed_ms: float | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -107,63 +107,31 @@ class RootScanReport:
 
 # ------------------------------------------------------- value tables
 
-def _subtree_values(args: tuple[int, int]) -> list[list[int]]:
-    """Values of all codes below a fixed prefix, one list per extra length.
-
-    The codes extending prefix p at total length L occupy the contiguous
-    index range [p << (L-P), (p+1) << (L-P)), so the parent can splice
-    worker results without reordering.
-    """
-    prefix, max_len = args
-    a, b, c = evaluate(format(prefix, f"0{_PARTITION_BITS}b"))
-    depth = max_len - _PARTITION_BITS
-    out = [[0] * (1 << d) for d in range(1, depth + 1)]
-    stack = [(a, b, 0, 0)]
-    while stack:
-        a, b, rel, d = stack.pop()
-        if d:
-            out[d - 1][rel] = a + b
-        if d < depth:
-            stack.append((b, a + b, (rel << 1) | 1, d + 1))
-            stack.append((a, a + b, rel << 1, d + 1))
-    return out
-
-
 def build_value_tables(max_len: int, jobs: int = 1) -> list[list[int]]:
-    """tables[L][code_as_int] = value of the code, for 0 <= L <= max_len."""
-    if max_len < 0:
-        raise DomainError("max_len must be >= 0")
-    shallow = min(max_len, _PARTITION_BITS)
-    tables: list[list[int]] = [[0] * (1 << L) for L in range(max_len + 1)]
-    stack = [(1, 2, 0, 0)]
-    while stack:
-        a, b, code, L = stack.pop()
-        tables[L][code] = a + b
-        if L < shallow:
-            stack.append((b, a + b, (code << 1) | 1, L + 1))
-            stack.append((a, a + b, code << 1, L + 1))
-    if max_len <= _PARTITION_BITS:
-        return tables
-    parts = [(p, max_len) for p in range(1 << _PARTITION_BITS)]
-    if jobs > 1:
-        with Pool(min(jobs, len(parts))) as pool:
-            results = pool.map(_subtree_values, parts)
-    else:
-        results = [_subtree_values(p) for p in parts]
-    for prefix, sub in zip(range(1 << _PARTITION_BITS), results):
-        for d, row in enumerate(sub, start=1):
-            L = _PARTITION_BITS + d
-            base = prefix << d
-            tables[L][base:base + (1 << d)] = row
-    return tables
+    """tables[L][code_as_int] = value of the code, for 0 <= L <= max_len.
+
+    jobs is accepted for compatibility and selects nothing: the rows come
+    from one process.
+    """
+    return [values.tolist() for _, _, values in level_rows(max_len)]
 
 
-def _bit_reverse(x: int, length: int) -> int:
-    r = 0
-    for _ in range(length):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
+def _reversals(max_len: int):
+    """Bit-reversal permutations by length: rev[x] is x read backwards in L bits.
+
+    Reversing a code moves its first bit to the end, so the codes led by 0
+    map to the even indices 2*rev' and those led by 1 to 2*rev' + 1.
+    """
+    rev = array("Q", [0])
+    yield rev
+    for _ in range(max_len):
+        doubled = array("Q", map(add, rev, rev))
+        rev = doubled + array("Q", map((1).__add__, doubled))
+        yield rev
+
+
+def _reflects(values: array, rev: array) -> bool:
+    return array("Q", map(values.__getitem__, rev)) == values
 
 
 def _code_str(x: int, length: int) -> str:
@@ -173,33 +141,31 @@ def _code_str(x: int, length: int) -> str:
 # ------------------------------------------------------------ the scans
 
 def scan_reflection(max_len: int, jobs: int = 1) -> ScanReport:
-    """Check value(t) == value(reflect(t)) for every code of length <= max_len."""
+    """Check value(t) == value(reflect(t)) for every code of length <= max_len.
+
+    jobs is accepted for compatibility and selects nothing.
+    """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    t0 = time.perf_counter()
-    tables = build_value_tables(max_len, jobs)
     violations = []
-    checked = 0
-    for L in range(1, max_len + 1):
-        row = tables[L]
-        checked += 1 << L
-        for code in range(1 << L):
-            rev = _bit_reverse(code, L)
-            if code < rev and row[code] != row[rev]:
+    levels = zip(level_rows(max_len), _reversals(max_len))
+    for L, ((_, _, values), rev) in enumerate(levels):
+        if _reflects(values, rev):
+            continue
+        for code, mirror in enumerate(rev):
+            if code < mirror and values[code] != values[mirror]:
                 violations.append({
                     "length": L,
                     "code": _code_str(code, L),
-                    "reflected": _code_str(rev, L),
-                    "value": row[code],
-                    "reflected_value": row[rev],
+                    "reflected": _code_str(mirror, L),
+                    "value": values[code],
+                    "reflected_value": values[mirror],
                 })
-    report = ScanReport(
+    return ScanReport(
         scope=f"all codes of length 1..{max_len}",
-        checked=checked,
+        checked=(1 << (max_len + 1)) - 2,
         violations=violations,
     )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
 
 
 def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
@@ -208,21 +174,23 @@ def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
     Every class with at least two codes is returned.  A class is flagged
     when it contains codes that are neither equal nor mutual reflections,
     which is exactly a counterexample to the converse of the reflection
-    principle at this length.
+    principle at this length.  jobs is accepted for compatibility and
+    selects nothing.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
-    row = build_value_tables(length, jobs)[length]
     by_value: dict[int, list[int]] = {}
-    for code, val in enumerate(row):
+    for code, val in enumerate(level_row(length)[2]):
         by_value.setdefault(val, []).append(code)
+    for rev in _reversals(length):
+        pass
     classes = []
     for val in sorted(by_value):
         codes = by_value[val]
         if len(codes) < 2:
             continue
         # only a plain reflection pair {t, refl(t)} stays unflagged
-        beyond = len(codes) > 2 or _bit_reverse(codes[0], length) != codes[1]
+        beyond = len(codes) > 2 or rev[codes[0]] != codes[1]
         classes.append(ValueClass(
             value=val,
             codes=tuple(_code_str(c, length) for c in codes),
@@ -253,11 +221,12 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None,
     (weight ascending, then the higher-variance code by (value, code),
     then its lower-variance partners by (value, code)), so results can be
     streamed and compared byte for byte across runs.  The pair count can
-    be in the millions at length 14, hence a generator.
+    be in the millions at length 14, hence a generator.  jobs is accepted
+    for compatibility and selects nothing.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
-    row = build_value_tables(length, jobs)[length]
+    row = level_row(length)[2]
     buckets: dict[int, list[tuple[Fraction, int, int]]] = {}
     for code in range(1 << length):
         text = _code_str(code, length)
@@ -303,7 +272,6 @@ def scan_conjecture(length: int, weight_filter: int | None = None,
     count still lands in violations_total); None keeps every pair, which
     is fine up to length 12 or so but runs to millions of pairs beyond.
     """
-    t0 = time.perf_counter()
     violations: list[dict] = []
     total = 0
     for pair in iter_conjecture_violations(length, weight_filter, jobs):
@@ -312,15 +280,13 @@ def scan_conjecture(length: int, weight_filter: int | None = None,
             violations.append(pair)
     checked = 1 << length
     if weight_filter is not None:
-        checked = sum(1 for c in range(1 << length)
-                      if _code_str(c, length).count("1") == weight_filter)
+        checked = comb(length, weight_filter) if weight_filter >= 0 else 0
     scope = f"codes of length {length}"
     if weight_filter is not None:
         scope += f" with weight {weight_filter}"
     report = ScanReport(scope=scope, checked=checked, violations=violations)
     if total != len(violations):
         report.violations_total = total
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
     return report
 
 
@@ -337,9 +303,7 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
         raise DomainError("max_entry must be >= 2")
     if depth < 2:
         raise DomainError("depth must be >= 2")
-    from math import gcd
-
-    t0 = time.perf_counter()
+    reversals = list(_reversals(depth))
     checked = 0
     survivors = []
     for a in range(1, max_entry + 1):
@@ -350,26 +314,11 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
             root = (min(a, b), max(a, b), a + b)
             if value("01", root) != value("10", root):
                 continue
-            ok = True
-            for L in range(1, depth + 1):
-                vals = [0] * (1 << L)
-                stack = [(root[0], root[1], 0, 0)]
-                while stack:
-                    x, y, code, d = stack.pop()
-                    if d == L:
-                        vals[code] = x + y
-                        continue
-                    stack.append((y, x + y, (code << 1) | 1, d + 1))
-                    stack.append((x, x + y, code << 1, d + 1))
-                if any(vals[c] != vals[_bit_reverse(c, L)] for c in range(1 << L)):
-                    ok = False
-                    break
-            if ok:
+            if all(_reflects(values, rev)
+                   for (_, _, values), rev in zip(level_rows(depth, root), reversals)):
                 survivors.append((a, b, a + b))
-    report = RootScanReport(
+    return RootScanReport(
         scope=f"roots (a, b, a+b) with a, b <= {max_entry}, coprime, depth {depth}",
         checked=checked,
         survivors=sorted(survivors),
     )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report

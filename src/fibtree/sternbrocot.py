@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import ROOT, State, as_code, evaluate
+from .engine import ROOT, State, evaluate, level_row
 from .errors import DomainError
 
 
@@ -63,11 +63,11 @@ def check_generation(c: int) -> GenerationVerdict:
     """Set equality of {u, v over codes of length c} and {L/R words on both seeds}."""
     if c < 1:
         raise DomainError("generation length must be >= 1")
+    a_row, b_row, _ = level_row(c)
     state_side = set()
-    for n in range(1 << c):
-        code = format(n, f"0{c}b")
-        state_side.add(u(code))
-        state_side.add(v(code))
+    for a, b in zip(a_row, b_row):
+        state_side.add(Fraction(a, b))
+        state_side.add(Fraction(b, a))
     path_side = set()
     for n in range(1 << c):
         word = format(n, f"0{c}b").translate(str.maketrans("01", "LR"))

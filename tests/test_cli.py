@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fibtree import chain, cli
 from fibtree.cli import main
 
 
@@ -275,6 +276,20 @@ def test_hat_chain_full(capsys):
                      "--format", "json")
     assert rc == 0
     assert json.loads(out)["chain"][-1] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("flags", [(), ("--full",)])
+def test_hat_chain_walks_the_chain_once(capsys, monkeypatch, flags):
+    calls = []
+
+    def counting_chain(*args, **kwargs):
+        calls.append(args)
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "chain", counting_chain)
+    rc, _, _ = run(capsys, "hat", "chain", "3", "11", "14", *flags)
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_hat_solve_json(capsys):

@@ -15,6 +15,7 @@ from fibtree import (
     enumerate_codes,
     enumerate_states,
     evaluate,
+    level_rows,
     reduce_state,
     reflect,
     trace,
@@ -38,6 +39,23 @@ def test_values_match_matrix_oracle_exhaustively():
 def test_values_match_matrix_oracle_at_any_root(code, a, b):
     root = (a, b, a + b)
     assert value(code, root) == value_by_matrices(code, root)
+
+
+@pytest.mark.parametrize("root", [ROOT, (2, 5, 7), (3, 1, 4)])
+def test_level_rows_match_matrix_oracle(root):
+    levels = list(level_rows(8, root))
+    assert len(levels) == 9
+    for length, rows in enumerate(levels):
+        states = list(zip(*rows))
+        assert states == [state_by_matrices(code, root)
+                          for code in enumerate_codes(length)]
+
+
+def test_level_rows_reject_bad_input():
+    with pytest.raises(DomainError):
+        next(level_rows(-1))
+    with pytest.raises(DomainError):
+        next(level_rows(3, (1, 2, 4)))
 
 
 # --------------------------------------------------------- named values

@@ -4,6 +4,7 @@ import pytest
 
 from fibtree import (
     DomainError,
+    level_rows,
     build_value_tables,
     check_block_alternating,
     cluster_variance,
@@ -16,6 +17,8 @@ from fibtree import (
     value,
     weight,
 )
+from fibtree import scans
+from oracle import value_by_matrices
 
 
 def test_value_tables_match_direct_evaluation():
@@ -35,6 +38,23 @@ def test_reflection_scan_is_clean():
     assert report.checked == 2 ** 11 - 2
     assert report.violations == []
     assert report.to_jsonable()["elapsed_ms"] is None
+
+
+def test_reflection_scan_reports_each_violation(monkeypatch):
+    root = (1, 3, 4)  # F[01] = 11 but F[10] = 10: reflection fails from length 2
+    monkeypatch.setattr(scans, "level_rows",
+                        lambda max_len: level_rows(max_len, root))
+    expected = []
+    for length in range(1, 7):
+        for code in enumerate_codes(length):
+            mirrored = code[::-1]
+            val, mval = value_by_matrices(code, root), value_by_matrices(mirrored, root)
+            if code < mirrored and val != mval:
+                expected.append({"length": length, "code": code, "reflected": mirrored,
+                                 "value": val, "reflected_value": mval})
+    report = scans.scan_reflection(6)
+    assert report.checked == 2 ** 7 - 2
+    assert expected and report.violations == expected
 
 
 def test_reflection_scan_ignores_parallelism():
