@@ -80,11 +80,15 @@ def value(code: str, root: State = ROOT) -> int:
 
 def trace(code: str, root: State = ROOT) -> list[State]:
     """All intermediate states, root first; length is len(code) + 1."""
-    s = as_root(root)
-    out = [s]
+    a, b, c = as_root(root)
+    out = [(a, b, c)]
     for ch in as_code(code):
-        s = apply_step(s, _BITS[ch])
-        out.append(s)
+        if ch == "0":
+            b = c
+        else:
+            a, b = b, c
+        c = a + b
+        out.append((a, b, c))
     return out
 
 
@@ -113,16 +117,20 @@ def decode_state(s: State) -> str:
 
     Terminates because the middle entry strictly decreases at each
     reduction; a reduction that leaves the ladder of valid states means
-    the input was not reachable.
+    the input was not reachable.  The reductions are reduce_state's,
+    inlined: they keep gcd(a, b) == 1, so b == 2a only at the root.
     """
     a, b, c = as_state(s)
     if not (1 <= a < b) or gcd(a, b) != 1:
         raise DomainError(f"state {s} is not reachable from the root")
     bits: list[str] = []
-    while (a, b, a + b) != ROOT:
-        (pa, pb, _), bit = reduce_state((a, b, a + b))
-        bits.append("01"[bit])
-        a, b = pa, pb
+    while a != 1 or b != 2:
+        if b > 2 * a:
+            b -= a
+            bits.append("0")
+        else:
+            a, b = b - a, a
+            bits.append("1")
         if a < 1 or not a < b:
             raise DomainError(f"state {s} is not reachable from the root")
     return "".join(reversed(bits))

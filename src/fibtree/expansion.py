@@ -8,6 +8,11 @@ codes fall outside the bijection; their value is a single Fibonacci
 number.  The expansion recurses, since every coefficient is itself an
 initial value or the value of a shorter code, giving a nested tree whose
 leaves are plain Fibonacci numbers.
+
+Within one expand_recursive call, equal subtrees are built once and
+shared, so the tree is a DAG whose distinct nodes grow with the code
+length, while the tree it spells out (and its JSON form) can grow far
+faster.  tree_value visits each distinct node once.
 """
 
 from __future__ import annotations
@@ -104,9 +109,21 @@ ExpansionTree = Union[Leaf, SumNode]
 
 
 def tree_value(node: ExpansionTree) -> int:
-    if isinstance(node, Leaf):
-        return fib(node.index)
-    return tree_value(node.a) * fib(node.k) + tree_value(node.b) * fib(node.k + 2)
+    """Value of a tree; linear in its distinct nodes, since shared ones are
+    evaluated once per call."""
+    memo: dict[int, int] = {}
+
+    def walk(n: ExpansionTree) -> int:
+        v = memo.get(id(n))
+        if v is None:
+            if isinstance(n, Leaf):
+                v = fib(n.index)
+            else:
+                v = walk(n.a) * fib(n.k) + walk(n.b) * fib(n.k + 2)
+            memo[id(n)] = v
+        return v
+
+    return walk(node)
 
 
 def tree_to_jsonable(node: ExpansionTree):
@@ -129,10 +146,26 @@ def flatten_products(node: ExpansionTree) -> list[tuple[int, ...]]:
 
 
 def expand_recursive(code: str) -> ExpansionTree:
-    """Nested expansion of a code's value, down to Fibonacci-number leaves."""
+    """Nested expansion of a code's value, down to Fibonacci-number leaves.
+
+    Equal subtrees are the same object within one call; nothing is kept
+    between calls.
+    """
     code = as_code(code)
     if not code:
         raise DomainError("the empty code has no expansion")
+    return _expand(code, {})
+
+
+def _expand(code: str, memo: dict) -> ExpansionTree:
+    """expand_recursive of a valid nonempty code, memoised by code in memo."""
+    node = memo.get(code)
+    if node is None:
+        node = memo[code] = _expand_node(code, memo)
+    return node
+
+
+def _expand_node(code: str, memo: dict) -> ExpansionTree:
     if "0" not in code:
         return Leaf(len(code) + 4)
     e = encode_expansion(code)
@@ -153,7 +186,7 @@ def expand_recursive(code: str) -> ExpansionTree:
     def subtree(v: int, sub: str) -> ExpansionTree:
         if v <= 3:
             return Leaf(v + 1)
-        return expand_recursive(sub)
+        return _expand(sub, memo)
 
     t_lo, t_hi = subtree(lo, code_lo), subtree(hi, code_hi)
     if e.a < e.b:

@@ -96,9 +96,21 @@ def chain(s, abbreviated: bool = True) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _chain_length_normalized(w: tuple[int, int, int]) -> int:
-    return len(chain(w))
+    """len(chain(w)) for a sorted configuration, from Euclid's quotients.
+
+    Sigma is subtractive Euclid on (a, b): it reaches the base after
+    (sum of the partial quotients of b/a) - 1 steps, and the abbreviated
+    chain holds the configurations before the base, or the base alone.
+    """
+    a, b, _ = w
+    steps = 0
+    while a:
+        q, r = divmod(b, a)
+        steps += q
+        a, b = r, a
+    return max(steps - 1, 1)
 
 
 def chain_length(w) -> int:

@@ -96,6 +96,14 @@ def test_trace_shape_and_steps():
             assert apply_step(prev, int(bit)) == cur
 
 
+@pytest.mark.parametrize("root", [(2, 5, 7), (3, 1, 4), (7, 7, 14), (5, 2, 7)])
+def test_trace_matches_matrix_prefixes_at_other_roots(root):
+    for length in range(9):
+        for code in enumerate_codes(length):
+            assert trace(code, root) == [state_by_matrices(code[:i], root)
+                                         for i in range(length + 1)]
+
+
 # ----------------------------------------------------------- structure
 
 @given(codes)
@@ -147,6 +155,36 @@ def test_reduce_rejects_root_and_unreachable():
         decode_state((2, 4, 6))
     with pytest.raises(DomainError):
         decode_state((3, 2, 5))
+
+
+def _decode_by_reduce_state(s):
+    """decode_state as a ladder of reduce_state calls, each one checked."""
+    a, b, c = as_state(s)
+    if not (1 <= a < b) or gcd(a, b) != 1:
+        raise DomainError(f"state {s} is not reachable from the root")
+    bits = []
+    while (a, b, a + b) != ROOT:
+        (a, b, _), bit = reduce_state((a, b, a + b))
+        bits.append(str(bit))
+        if a < 1 or not a < b:
+            raise DomainError(f"state {s} is not reachable from the root")
+    return "".join(reversed(bits))
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def test_decode_matches_reduce_state_ladder():
+    # Non-positive entries, a >= b, gcd > 1 and c != a + b all included.
+    for a in range(-2, 45):
+        for b in range(-2, 45):
+            for c in (a + b - 1, a + b, a + b + 1):
+                s = (a, b, c)
+                assert _outcome(decode_state, s) == _outcome(_decode_by_reduce_state, s)
 
 
 # --------------------------------------------------------- enumeration

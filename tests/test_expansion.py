@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -135,3 +137,39 @@ def test_flatten_products():
                     term *= fib(idx)
                 total += term
             assert total == value(code)
+
+
+# A digest of every tree of 1..12 bits, recorded before subtrees were
+# shared: sharing must not change a single serialised byte.
+TREES_1_TO_12_SHA256 = "62fab6fdab2c569eb433b45edc70cba5765f6a4dbfe1a008411617e4d9143c8f"
+
+
+def test_shared_trees_serialise_as_before():
+    trees = [tree_to_jsonable(expand_recursive(code))
+             for length in range(1, 13) for code in enumerate_codes(length)]
+    digest = hashlib.sha256(json.dumps(trees).encode()).hexdigest()
+    assert digest == TREES_1_TO_12_SHA256
+
+
+def _distinct_nodes(tree) -> int:
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, SumNode):
+                stack += [node.a, node.b]
+    return len(seen)
+
+
+@pytest.mark.parametrize("code", ["01" * 50, "0110" * 25])
+def test_long_codes_share_subtrees(code):
+    # Unshared, "01" * 50 spells out about 3.2 million nodes.
+    tree = expand_recursive(code)
+    assert tree_value(tree) == value(code)
+    assert _distinct_nodes(tree) <= len(code) ** 2
+
+
+def test_no_sharing_between_calls():
+    first, second = expand_recursive("0110100101"), expand_recursive("0110100101")
+    assert first == second and first is not second

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from fibtree import (
     solve_puzzle,
     validate_config,
 )
-from fibtree.threehat import _all_configs, reference_announcement
+from fibtree.threehat import _all_configs, _chain_length_normalized, reference_announcement
 
 
 # -------------------------------------------------------- configurations
@@ -53,6 +54,18 @@ def test_chain_walks_to_base():
     assert chain_length((3, 11, 14)) == 5
     assert chain_length((1, 2, 3)) == 1
     assert chain_length((2, 4, 6)) == 1  # scale never matters
+
+
+def test_chain_length_counts_the_chain():
+    for a in range(1, 300):
+        for b in range(a, 300 - a):
+            want = len(chain((a, b, a + b)))
+            for w in permutations((a, b, a + b)):
+                assert chain_length(w) == want
+
+
+def test_chain_length_cache_is_bounded():
+    assert _chain_length_normalized.cache_info().maxsize is not None
 
 
 def test_round_bounds():
