@@ -40,6 +40,9 @@ def as_code(text: str) -> str:
 
 def as_state(triple) -> State:
     a, b, c = triple
+    # type(), not isinstance(): bool is an int, and no entry is coerced
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        raise DomainError(f"state entries must be integers, got {tuple(triple)!r}")
     if a < 1 or b < 1:
         raise DomainError(f"state entries must be positive, got {tuple(triple)}")
     if c != a + b:
@@ -162,7 +165,18 @@ def level_rows(max_len: int,
     """
     if max_len < 0:
         raise DomainError("max_len must be >= 0")
-    a_row, b_row, c_row = (array("Q", [x]) for x in as_root(root))
+    a, b, _ = as_root(root)
+    return _rows(max_len, a, b)
+
+
+def _rows(max_len: int, a: int, b: int) -> Iterator[tuple[array, array, array]]:
+    """level_rows from the pair (a, b), unchecked.
+
+    The steps act linearly on (a, b), so the unit pairs (1, 0) and (0, 1)
+    give the rows P and Q with value(code) = a0*P + b0*Q at any root
+    (a0, b0, a0 + b0).
+    """
+    a_row, b_row, c_row = array("Q", [a]), array("Q", [b]), array("Q", [a + b])
     yield a_row, b_row, c_row
     for _ in range(max_len):
         size = 2 * len(c_row)

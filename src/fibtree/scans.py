@@ -5,11 +5,22 @@ a report whose violation records carry enough data to replay the check.
 Values come one length at a time from the row kernel
 engine.level_rows, indexed by the code read as a binary number.
 Reflection permutes that index; the bit-reversal rows are built here the
-same way, each from the one before, so a reflection check is one row
-comparison.  Scans run in one process and are deterministic: the same
-parameters produce the same report, and the jobs arguments are accepted
-for compatibility and select nothing.  Wall-clock timing is kept out of
-the serialized payload so that re-runs compare byte-identical.
+same way, each from the one before.
+
+The steps act linearly on the pair (a, b): from a root (a0, b0) a code t
+has value a0*P_t + b0*Q_t, where P and Q are its values from the unit
+pairs (1, 0) and (0, 1), and a code h followed by l has value
+a_h*P_l + b_h*Q_l.  The reflection and root scans check their
+statements through these identities with exact integer Gram matrices:
+reflection at length L costs O(2**(L/2)) time and memory, and the root
+scan is one Gram matrix for all roots.  Rows of every code are built
+only to write violation records.  The converse and conjecture scans
+stay O(2**L).
+
+Scans run in one process and are deterministic: the same parameters
+produce the same report, and the jobs arguments are accepted for
+compatibility and select nothing.  Wall-clock timing is kept out of the
+serialized payload so that re-runs compare byte-identical.
 """
 
 from __future__ import annotations
@@ -19,9 +30,9 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from operator import add
+from operator import add, mul, sub
 
-from .engine import State, level_row, level_rows, value
+from .engine import State, _rows, level_row, level_rows, value
 from .errors import DomainError
 from .metrics import cluster_variance, weight
 
@@ -130,8 +141,44 @@ def _reversals(max_len: int):
         yield rev
 
 
+def _permuted(row: array, rev: array) -> array:
+    return array(row.typecode, map(row.__getitem__, rev))
+
+
 def _reflects(values: array, rev: array) -> bool:
-    return array("Q", map(values.__getitem__, rev)) == values
+    return _permuted(values, rev) == values
+
+
+def _gram(rows) -> list[list[int]]:
+    """The exact integer Gram matrix: entry (i, j) is rows[i] . rows[j]."""
+    return [[sum(map(mul, u, v)) for v in rows] for u in rows]
+
+
+def _split_levels(n: int) -> list[tuple[array, array, array, array, array]]:
+    """Per length 0..n: the root's rows a and b, the unit pairs' value rows
+    P and Q, and the bit reversal."""
+    return [(a, b, p, q, rev) for (a, b, _), (_, _, p), (_, _, q), rev
+            in zip(level_rows(n), _rows(n, 1, 0), _rows(n, 0, 1), _reversals(n))]
+
+
+def _certifies(head, tail) -> bool:
+    """Whether every code of length |h| + |l| reflects, from the split levels
+    of the head length |h| and the tail length |l|.
+
+    Split t = h||l.  Then value(t) - value(rev t) is x_h . y_l with
+    x_h = (a_h, b_h, -P_rev(h), -Q_rev(h)) and y_l = (P_l, Q_l, a_rev(l),
+    b_rev(l)), so reflection holds iff the x span is orthogonal to the y
+    span.  With Gx and Gy their Gram matrices, that is Gx.Gy == 0, since a
+    Gram matrix has the span of its vectors as column space and as the
+    complement of its kernel.  Gx is taken unsigned, so D = diag(1, 1, -1,
+    -1) sits between the two: D.Gx'.D.Gy == 0 iff Gx'.D.Gy == 0.
+    """
+    a, b, p, q, rev = head
+    gx = _gram((a, b, _permuted(p, rev), _permuted(q, rev)))
+    a, b, p, q, rev = tail
+    gy = _gram((p, q, _permuted(a, rev), _permuted(b, rev)))
+    signed = gy[:2] + [[-y for y in row] for row in gy[2:]]
+    return all(sum(map(mul, row, col)) == 0 for row in gx for col in zip(*signed))
 
 
 def _code_str(x: int, length: int) -> str:
@@ -143,12 +190,19 @@ def _code_str(x: int, length: int) -> str:
 def scan_reflection(max_len: int, jobs: int = 1) -> ScanReport:
     """Check value(t) == value(reflect(t)) for every code of length <= max_len.
 
-    jobs is accepted for compatibility and selects nothing.
+    Each length L is certified from the split levels of lengths ceil(L/2)
+    and floor(L/2), in O(2**(L/2)) time and memory.  Only when a length
+    fails are the rows of every code built, up to the last failing
+    length, to write the violation records.  jobs is accepted for
+    compatibility and selects nothing.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    split = _split_levels((max_len + 1) // 2)
+    failing = [L for L in range(1, max_len + 1)
+               if not _certifies(split[(L + 1) // 2], split[L // 2])]
     violations = []
-    levels = zip(level_rows(max_len), _reversals(max_len))
+    levels = zip(level_rows(failing[-1]), _reversals(failing[-1])) if failing else ()
     for L, ((_, _, values), rev) in enumerate(levels):
         if _reflects(values, rev):
             continue
@@ -295,15 +349,23 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
 
     A root is evaluated from its value-ordered pair: listing (2, 1, 3)
     next to (1, 2, 3) only makes sense if evaluation does not depend on
-    which of the first two slots holds the smaller entry.  The cheap
-    depth-2 test F[01] == F[10] is applied first; survivors get the full
-    reflection check over all codes of length <= depth.
+    which of the first two slots holds the smaller entry.  From the
+    ordered root (lo, hi) a code t has value lo*P_t + hi*Q_t, so the root
+    keeps the identity over all codes of length <= depth iff (lo, hi) is
+    orthogonal to every (P_t - P_rev(t), Q_t - Q_rev(t)), that is iff
+    G.(lo, hi) == 0 for the Gram matrix G of those vectors.  G is built
+    once, in exact integers, and then tested against each root.
     """
     if max_entry < 2:
         raise DomainError("max_entry must be >= 2")
     if depth < 2:
         raise DomainError("depth must be >= 2")
-    reversals = list(_reversals(depth))
+    dp, dq = array("q"), array("q")
+    for (_, _, p), (_, _, q), rev in zip(_rows(depth, 1, 0), _rows(depth, 0, 1),
+                                         _reversals(depth)):
+        dp += array("q", map(sub, p, _permuted(p, rev)))
+        dq += array("q", map(sub, q, _permuted(q, rev)))
+    (g00, g01), (g10, g11) = _gram((dp, dq))
     checked = 0
     survivors = []
     for a in range(1, max_entry + 1):
@@ -311,11 +373,8 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
             if gcd(a, b) != 1:
                 continue
             checked += 1
-            root = (min(a, b), max(a, b), a + b)
-            if value("01", root) != value("10", root):
-                continue
-            if all(_reflects(values, rev)
-                   for (_, _, values), rev in zip(level_rows(depth, root), reversals)):
+            lo, hi = min(a, b), max(a, b)
+            if g00 * lo + g01 * hi == 0 and g10 * lo + g11 * hi == 0:
                 survivors.append((a, b, a + b))
     return RootScanReport(
         scope=f"roots (a, b, a+b) with a, b <= {max_entry}, coprime, depth {depth}",

@@ -48,8 +48,11 @@ PLAYERS = "ABC"
 
 def validate_config(w) -> tuple[int, int, int]:
     try:
-        a, b, c = (int(x) for x in w)
+        a, b, c = w
     except (TypeError, ValueError):
+        raise DomainError(f"configuration must be three integers, got {w!r}")
+    # type(), not isinstance(): bool is an int, and no entry is coerced
+    if type(a) is not int or type(b) is not int or type(c) is not int:
         raise DomainError(f"configuration must be three integers, got {w!r}")
     if min(a, b, c) < 1:
         raise DomainError(f"hat values must be positive, got {(a, b, c)}")

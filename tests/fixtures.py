@@ -1,8 +1,11 @@
 """Shared reference rows: every length-4 code with a nonconstant pattern,
 its final state, and its cluster variance, in the canonical listing order;
-and four longer codes with their cluster variances."""
+and four longer codes with their cluster variances.  Also strategies for
+entries that are not ints, which states and configurations refuse."""
 
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 LENGTH4_TABLE = [
     # code, final state, cluster variance
@@ -31,3 +34,12 @@ VARIANCE_SPOT_VALUES = [
     ("10101111", Fraction(17, 2)),   # runs 1,1,1,1,4: as printed
     ("11101101", Fraction(19, 4)),   # runs 3,1,2,1,1: 38/8; printed 65/8
 ]
+
+
+# Each kind includes values equal to a valid int, which coercion would accept.
+NOT_INT_ENTRIES = {
+    "bool": st.booleans(),
+    "float": st.one_of(st.integers(1, 50).map(float), st.floats()),
+    "str": st.one_of(st.integers(1, 50).map(str), st.text(max_size=3)),
+    "Fraction": st.one_of(st.integers(1, 50).map(Fraction), st.fractions()),
+}

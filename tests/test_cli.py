@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -311,3 +312,43 @@ def test_hat_solve_with_oracle(capsys):
     doc = json.loads(out)
     assert doc["solutions"] == []
     assert [s["config"] for s in doc["oracle"]] == [[1, 1, 2]]
+
+
+# ------------------------------------------------------ golden outputs
+
+# SHA-256 of stdout and the exit code of four scans in every format.  A
+# change to how a scan checks its statement must leave these bytes alone.
+GOLDEN_DIGESTS = [
+    ("scan reflection --max-len 18", "text", 0,
+     "9c9082a0ba64f4ac04772050d65b59b2c0bccc1cc2cba3f3e0c0327e5fc3f4ca"),
+    ("scan reflection --max-len 18", "json", 0,
+     "6ef262e5f61d44c134f0dd805f7eae1d66d86fff37099a4fe98ca81c5c754926"),
+    ("scan reflection --max-len 18", "csv", 0,
+     "96cadf998d21130af25114a3cfd0687a8bffc19562de7310e3b91adecbe343f7"),
+    ("scan roots --max-entry 400 --depth 12", "text", 0,
+     "72c70cc4774c41be4e1e8f73b52b0766b83852e6eed048d19351dcec7f03fc77"),
+    ("scan roots --max-entry 400 --depth 12", "json", 0,
+     "f0e169448143ccd6657cae3270a03bcfb440ad21937b0c94373a8a816335bd6f"),
+    ("scan roots --max-entry 400 --depth 12", "csv", 0,
+     "0d331f1c73876efb2b3b266e8bf7d4b3c84cf943e7404877df5fdb06b0b8813a"),
+    ("sb check --depth 12", "text", 0,
+     "d0e2473c1e65b5cb7d7baa3fa2f75f59e6d32101d4ea8b51cfb52067771909e5"),
+    ("sb check --depth 12", "json", 0,
+     "fa6ee947e38fef9a049dcacef6376c84e832744c4cf34cc41896c70db046392f"),
+    ("sb check --depth 12", "csv", 0,
+     "c86b7995487162ceaf57eda8d72a80c1741629c74938d30efe8c6d6ffbd7407b"),
+    ("scan converse --len 16", "text", 3,
+     "69fd46416dd59108c6713b574c374b71922fbe37c4d188045f419fa6301ec2f3"),
+    ("scan converse --len 16", "json", 3,
+     "6045a11c4289aea4cff8f0adcb21476c50c69f1eb1a1c1ee50ad7fb1a4d5c802"),
+    ("scan converse --len 16", "csv", 3,
+     "60a00ffe88a3a19dae9c8ce8b220ed6558680eff48cdcbfd1ab292d35e16dd36"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, code, digest", GOLDEN_DIGESTS)
+def test_scan_output_matches_golden_digest(capsys, command, fmt, code, digest):
+    argv = command.split() + ([] if fmt == "text" else ["--format", fmt])
+    rc, out, _ = run(capsys, *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

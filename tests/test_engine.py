@@ -21,7 +21,7 @@ from fibtree import (
     trace,
     value,
 )
-from fixtures import LENGTH4_TABLE
+from fixtures import LENGTH4_TABLE, NOT_INT_ENTRIES
 from oracle import fib_by_addition, state_by_matrices, value_by_matrices
 
 codes = st.text(alphabet="01", max_size=40)
@@ -237,6 +237,26 @@ def test_state_validation():
         as_state((1, 2, 4))
     with pytest.raises(DomainError):
         apply_step((1, 2, 3), 2)
+
+
+STATE_CHECKS = {
+    "as_state": as_state,
+    "as_root": as_root,
+    "evaluate": lambda triple: evaluate("01", triple),
+    "level_rows": lambda triple: level_rows(2, triple),
+}
+
+
+@pytest.mark.parametrize("check", sorted(STATE_CHECKS))
+@pytest.mark.parametrize("kind", sorted(NOT_INT_ENTRIES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_states_refuse_entries_that_are_not_ints(check, kind, data):
+    a, b = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    triple = [a, b, a + b]
+    triple[data.draw(st.integers(0, 2))] = data.draw(NOT_INT_ENTRIES[kind])
+    with pytest.raises(DomainError):
+        STATE_CHECKS[check](tuple(triple))
 
 
 @settings(max_examples=30)

@@ -1,4 +1,7 @@
+import tracemalloc
+from array import array
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -55,6 +58,54 @@ def test_reflection_scan_reports_each_violation(monkeypatch):
     report = scans.scan_reflection(6)
     assert report.checked == 2 ** 7 - 2
     assert expected and report.violations == expected
+
+
+# Roots where reflection holds at every length, or fails from some length on.
+CERTIFICATE_ROOTS = [(1, 2, 3), (1, 3, 4), (2, 5, 7), (3, 1, 4), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("root", CERTIFICATE_ROOTS)
+def test_reflection_certificate_matches_row_comparison(monkeypatch, root):
+    monkeypatch.setattr(scans, "level_rows",
+                        lambda max_len: level_rows(max_len, root))
+    split = scans._split_levels(10)
+    verdicts = []
+    for L, ((_, _, values), rev) in enumerate(zip(level_rows(20, root),
+                                                  scans._reversals(20))):
+        certified = scans._certifies(split[(L + 1) // 2], split[L // 2])
+        assert certified == scans._reflects(values, rev), L
+        verdicts.append(certified)
+    assert all(verdicts) == (root == (1, 2, 3))
+
+
+@pytest.mark.parametrize("side", ["head", "tail"])
+@pytest.mark.parametrize("row", ["a", "b", "P", "Q"])
+def test_reflection_certificate_fails_on_one_changed_entry(side, row):
+    split = scans._split_levels(5)
+    head, tail = split[5], split[4]  # length 9
+    assert scans._certifies(head, tail)
+    i = "abPQ".index(row)
+    target = head if side == "head" else tail
+    for pos in (0, len(target[i]) // 3, len(target[i]) - 1):
+        changed = array("Q", target[i])
+        changed[pos] += 1
+        levels = {"head": head, "tail": tail}
+        levels[side] = target[:i] + (changed,) + target[i + 1:]
+        assert not scans._certifies(levels["head"], levels["tail"]), pos
+
+
+def test_reflection_scan_memory_grows_with_half_the_length():
+    # The certificate holds O(2**(L/2)) entries; the row path needed
+    # about 8 rows of 8 * 2**26 bytes here.
+    tracemalloc.start()
+    try:
+        report = scan_reflection(26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == []
+    assert report.checked == 2 ** 27 - 2
+    assert peak < 32 * 2 ** 20
 
 
 def test_reflection_scan_ignores_parallelism():
@@ -160,6 +211,20 @@ def test_root_scan_keeps_the_value_ordered_pair():
     report = scan_roots(20, 8)
     assert report.survivors == [(1, 2, 3), (2, 1, 3)]
     assert report.checked > 0
+
+
+def test_root_scan_matches_matrix_oracle():
+    survivors = []
+    for a in range(1, 13):
+        for b in range(1, 13):
+            if gcd(a, b) != 1:
+                continue
+            root = (min(a, b), max(a, b), a + b)
+            if all(value_by_matrices(code, root) == value_by_matrices(code[::-1], root)
+                   for length in range(7) for code in enumerate_codes(length)):
+                survivors.append((a, b, a + b))
+    assert survivors == [(1, 2, 3), (2, 1, 3)]
+    assert scan_roots(12, 6).survivors == survivors
 
 
 def test_block_beats_alternating_is_false_with_reflections_equal():

@@ -15,6 +15,7 @@ from fibtree import (
     u,
     v,
 )
+from fibtree import sternbrocot
 
 codes = st.text(alphabet="01", max_size=25)
 
@@ -56,6 +57,16 @@ def test_generation_sets_match_paths():
         verdict = check_generation(c)
         assert verdict.equal
         assert verdict.state_side == verdict.path_side == 2 ** (c + 1)
+
+
+def test_integer_path_side_matches_fraction_paths():
+    for c in range(1, 11):
+        words = [format(n, f"0{c}b").translate(str.maketrans("01", "LR"))
+                 for n in range(1 << c)]
+        fractions = {apply_path(word, seed) for word in words
+                     for seed in (F(1, 2), F(2, 1))}
+        assert sternbrocot._path_pairs(c) == {(q.numerator, q.denominator)
+                                              for q in fractions}
 
 
 @given(codes)

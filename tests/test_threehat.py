@@ -23,6 +23,7 @@ from fibtree import (
     solve_puzzle,
     validate_config,
 )
+from fixtures import NOT_INT_ENTRIES
 from fibtree.threehat import _all_configs, _chain_length_normalized, reference_announcement
 
 
@@ -34,6 +35,17 @@ def test_validate_config():
     for bad in [(1, 2, 4), (0, 1, 1), (1, 2), (1, 2, 3, 4), (2, -1, 1)]:
         with pytest.raises(DomainError):
             validate_config(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INT_ENTRIES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_validate_config_refuses_entries_that_are_not_ints(kind, data):
+    a, b = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    config = list(data.draw(st.permutations([a, b, a + b])))
+    config[data.draw(st.integers(0, 2))] = data.draw(NOT_INT_ENTRIES[kind])
+    with pytest.raises(DomainError):
+        validate_config(tuple(config))
 
 
 def test_base_and_normalize():
