@@ -4,7 +4,9 @@ One binary, subcommand per operation.  Scans run in one process on the
 row kernel engine.level_rows; --jobs is accepted for compatibility and
 selects nothing.  Machine formats (json, csv) are deterministic:
 identical argv produces byte-identical output, so scan results can be
-diffed across runs.  Timings go to stderr only.
+diffed across runs.  Timings go to stderr only.  Each command imports
+the library modules it runs, so a process loads only what its command
+needs.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid code,
 state, configuration or expansion), 3 scan completed and found
@@ -14,43 +16,12 @@ violations or counterexamples.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from fractions import Fraction
-from math import comb
 
 from .engine import ROOT, as_code, as_root, evaluate, reflect, trace, value
 from .errors import DivergenceError, DomainError
-from .expansion import (
-    Expansion,
-    decode_expansion,
-    encode_expansion,
-    expand_recursive,
-    fib,
-    flatten_products,
-    pure_fibonacci,
-    tree_to_jsonable,
-    tree_value,
-)
-from .metrics import cluster_average, cluster_profile, cluster_variance, weight
-from .scans import (
-    check_block_alternating,
-    iter_conjecture_violations,
-    scan_converse,
-    scan_reflection,
-    scan_roots,
-)
-from .sternbrocot import check_generation, u, v
-from .threehat import (
-    PuzzleQuery,
-    brute_solve,
-    chain,
-    dialogue_simulate,
-    is_base,
-    solve_puzzle,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +35,8 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _frac(q: Fraction) -> str:
+def _frac(q) -> str:
+    """A Fraction as numerator/denominator."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -97,6 +69,8 @@ class _Writer:
         self._fh.write(text + "\n")
 
     def rows(self):
+        import csv
+
         return csv.writer(self._fh, lineterminator="\n")
 
     def close(self) -> None:
@@ -216,6 +190,8 @@ def _cmd_reflect(args, out: _Writer) -> int:
 
 
 def _cmd_metrics(args, out: _Writer) -> int:
+    from .metrics import cluster_average, cluster_profile, cluster_variance, weight
+
     code = as_code(args.code)
     profile = cluster_profile(code)
     avg, var = cluster_average(code), cluster_variance(code)
@@ -234,6 +210,10 @@ def _cmd_metrics(args, out: _Writer) -> int:
 
 
 def _cmd_expand(args, out: _Writer) -> int:
+    from .expansion import (Expansion, decode_expansion, encode_expansion,
+                            expand_recursive, flatten_products, pure_fibonacci,
+                            tree_to_jsonable, tree_value)
+
     if (args.code is None) == (args.inverse is None):
         print("error: expand needs either a code or --inverse A B K",
               file=sys.stderr)
@@ -283,6 +263,8 @@ def _cmd_expand(args, out: _Writer) -> int:
 
 
 def _cmd_sb_frac(args, out: _Writer) -> int:
+    from .sternbrocot import u, v
+
     code = as_code(args.code)
     uq, vq = u(code), v(code)
     doc = {"code": code, "u": _frac(uq), "v": _frac(vq)}
@@ -294,6 +276,8 @@ def _cmd_sb_frac(args, out: _Writer) -> int:
 
 
 def _cmd_sb_check(args, out: _Writer) -> int:
+    from .sternbrocot import check_generation
+
     _check_cap(args, "--depth", args.depth)
     done = _stopwatch(f"sb check depth {args.depth}")
     items, bad = [], 0
@@ -317,6 +301,8 @@ def _cmd_sb_check(args, out: _Writer) -> int:
 
 
 def _cmd_scan_reflection(args, out: _Writer) -> int:
+    from .scans import scan_reflection
+
     _check_cap(args, "--max-len", args.max_len)
     done = _stopwatch(f"scan reflection max-len {args.max_len}")
     report = scan_reflection(args.max_len, jobs=args.jobs)
@@ -334,6 +320,10 @@ def _cmd_scan_reflection(args, out: _Writer) -> int:
 
 
 def _cmd_scan_conjecture(args, out: _Writer) -> int:
+    from math import comb
+
+    from .scans import iter_conjecture_violations
+
     _check_cap(args, "--len", args.length)
     done = _stopwatch(f"scan conjecture len {args.length}")
     if args.weight is not None:
@@ -362,6 +352,8 @@ def _cmd_scan_conjecture(args, out: _Writer) -> int:
 
 
 def _cmd_scan_converse(args, out: _Writer) -> int:
+    from .scans import scan_converse
+
     _check_cap(args, "--len", args.length)
     done = _stopwatch(f"scan converse len {args.length}")
     classes = scan_converse(args.length, jobs=args.jobs)
@@ -384,6 +376,8 @@ def _cmd_scan_converse(args, out: _Writer) -> int:
 
 
 def _cmd_scan_roots(args, out: _Writer) -> int:
+    from .scans import scan_roots
+
     _check_cap(args, "--depth", args.depth)
     done = _stopwatch(f"scan roots max-entry {args.max_entry} depth {args.depth}")
     report = scan_roots(args.max_entry, args.depth)
@@ -399,6 +393,8 @@ def _cmd_scan_roots(args, out: _Writer) -> int:
 
 
 def _cmd_scan_blocks(args, out: _Writer) -> int:
+    from .scans import check_block_alternating
+
     _check_cap(args, "--max-j", args.max_j)
     if args.max_j < 2:
         raise DomainError("--max-j must be >= 2")
@@ -424,6 +420,8 @@ def _cmd_scan_blocks(args, out: _Writer) -> int:
 
 
 def _cmd_hat_simulate(args, out: _Writer) -> int:
+    from .threehat import dialogue_simulate
+
     transcript = dialogue_simulate((args.a, args.b, args.c))
     doc = transcript.to_jsonable()
     lines = []
@@ -442,6 +440,8 @@ def _cmd_hat_simulate(args, out: _Writer) -> int:
 
 
 def _cmd_hat_chain(args, out: _Writer) -> int:
+    from .threehat import chain
+
     cfg = (args.a, args.b, args.c)
     full = chain(cfg, abbreviated=False)
     length = max(len(full) - 1, 1)
@@ -456,6 +456,8 @@ def _cmd_hat_chain(args, out: _Writer) -> int:
 
 
 def _cmd_hat_solve(args, out: _Writer) -> int:
+    from .threehat import PuzzleQuery, brute_solve, is_base, solve_puzzle
+
     query = PuzzleQuery(args.solver, args.rounds, args.value)
     result = solve_puzzle(query)
     doc = result.to_jsonable()

@@ -39,7 +39,10 @@ def as_code(text: str) -> str:
 
 
 def as_state(triple) -> State:
-    a, b, c = triple
+    try:
+        a, b, c = triple
+    except (TypeError, ValueError):
+        raise DomainError(f"a state is three integers, got {triple!r}") from None
     # type(), not isinstance(): bool is an int, and no entry is coerced
     if type(a) is not int or type(b) is not int or type(c) is not int:
         raise DomainError(f"state entries must be integers, got {tuple(triple)!r}")

@@ -43,6 +43,10 @@ class Expansion:
     k: int
 
     def __post_init__(self):
+        # type(), not isinstance(): bool is an int, and no entry is coerced
+        if type(self.a) is not int or type(self.b) is not int or type(self.k) is not int:
+            raise DomainError(
+                f"expansion entries must be integers, got {(self.a, self.b, self.k)!r}")
         if self.a < 1 or self.b < 1:
             raise DomainError("expansion coefficients must be positive")
         if self.k < 2:

@@ -13,9 +13,12 @@ pairs (1, 0) and (0, 1), and a code h followed by l has value
 a_h*P_l + b_h*Q_l.  The reflection and root scans check their
 statements through these identities with exact integer Gram matrices:
 reflection at length L costs O(2**(L/2)) time and memory, and the root
-scan is one Gram matrix for all roots.  Rows of every code are built
-only to write violation records.  The converse and conjecture scans
-stay O(2**L).
+scan reads its survivors off the kernel of one 2x2 Gram matrix and
+counts the coprime roots with a totient sieve, in
+O(max_entry log log max_entry + 2**depth).  Rows of every code are
+built only to write violation records.  The converse and conjecture
+scans stay O(2**L); the converse scan spells its codes from a table of
+half-length names.
 
 Scans run in one process and are deterministic: the same parameters
 produce the same report, and the jobs arguments are accepted for
@@ -27,23 +30,20 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, gcd
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .engine import State, _rows, level_row, level_rows, value
 from .errors import DomainError
-from .metrics import cluster_variance, weight
 
 
 # ---------------------------------------------------------------- reports
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     scope: str
     checked: int
-    violations: list = field(default_factory=list)
+    violations: list
     # set only when the violations list was truncated to a cap
     violations_total: int | None = None
 
@@ -60,8 +60,7 @@ class ScanReport:
         return out
 
 
-@dataclass(frozen=True)
-class ValueClass:
+class ValueClass(NamedTuple):
     value: int
     codes: tuple[str, ...]
     beyond_reflection: bool
@@ -74,8 +73,7 @@ class ValueClass:
         }
 
 
-@dataclass(frozen=True)
-class BlockAlternatingVerdict:
+class BlockAlternatingVerdict(NamedTuple):
     j: int
     block: int
     block_reflected: int
@@ -101,8 +99,7 @@ class BlockAlternatingVerdict:
         }
 
 
-@dataclass
-class RootScanReport:
+class RootScanReport(NamedTuple):
     scope: str
     checked: int
     survivors: list[State]
@@ -185,6 +182,33 @@ def _code_str(x: int, length: int) -> str:
     return format(x, f"0{length}b") if length else ""
 
 
+def _code_strs(length: int) -> list[str]:
+    """The text of every code of one length, indexed like the level rows.
+
+    Each name is a ceil(L/2)-bit head name followed by a floor(L/2)-bit
+    tail name, so only O(2**(L/2)) names are built bit by bit.
+    """
+    tails = [""]
+    for _ in range(length // 2):
+        tails = [s + b for s in tails for b in "01"]
+    heads = [s + b for s in tails for b in "01"] if length % 2 else tails
+    return [h + t for h in heads for t in tails]
+
+
+def _coprime_pairs(n: int) -> int:
+    """The number of coprime (a, b) with 1 <= a, b <= n.
+
+    That is 2 * (phi(1) + ... + phi(n)) - 1, since each a < b pair is
+    counted twice and (1, 1) once, with Euler's phi from a sieve.
+    """
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # untouched by any smaller prime, so p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return 2 * sum(phi) - 1
+
+
 # ------------------------------------------------------------ the scans
 
 def scan_reflection(max_len: int, jobs: int = 1) -> ScanReport:
@@ -236,20 +260,16 @@ def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
     by_value: dict[int, list[int]] = {}
     for code, val in enumerate(level_row(length)[2]):
         by_value.setdefault(val, []).append(code)
-    for rev in _reversals(length):
-        pass
+    names = _code_strs(length)
     classes = []
     for val in sorted(by_value):
         codes = by_value[val]
         if len(codes) < 2:
             continue
+        texts = tuple(map(names.__getitem__, codes))
         # only a plain reflection pair {t, refl(t)} stays unflagged
-        beyond = len(codes) > 2 or rev[codes[0]] != codes[1]
-        classes.append(ValueClass(
-            value=val,
-            codes=tuple(_code_str(c, length) for c in codes),
-            beyond_reflection=beyond,
-        ))
+        beyond = len(texts) > 2 or texts[0][::-1] != texts[1]
+        classes.append(ValueClass(val, texts, beyond))
     return classes
 
 
@@ -280,8 +300,11 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None,
     """
     if length < 1:
         raise DomainError("length must be >= 1")
+    from .metrics import cluster_variance, weight
+
     row = level_row(length)[2]
-    buckets: dict[int, list[tuple[Fraction, int, int]]] = {}
+    # weight -> (cluster variance as a Fraction, value, code)
+    buckets: dict[int, list[tuple]] = {}
     for code in range(1 << length):
         text = _code_str(code, length)
         w = weight(text)
@@ -290,8 +313,9 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None,
         buckets.setdefault(w, []).append((cluster_variance(text), row[code], code))
     for w in sorted(buckets):
         items = sorted(buckets[w], key=lambda r: (r[0], r[1], r[2]))
-        # previous strictly-lower-variance entries, ordered by (value, code)
-        prev: list[tuple[int, int, Fraction]] = []
+        # previous strictly-lower-variance (value, code, variance) entries,
+        # ordered by (value, code)
+        prev: list[tuple] = []
         prev_vals: list[int] = []
         start = 0
         for end in range(1, len(items) + 1):
@@ -338,10 +362,47 @@ def scan_conjecture(length: int, weight_filter: int | None = None,
     scope = f"codes of length {length}"
     if weight_filter is not None:
         scope += f" with weight {weight_filter}"
-    report = ScanReport(scope=scope, checked=checked, violations=violations)
-    if total != len(violations):
-        report.violations_total = total
-    return report
+    return ScanReport(scope, checked, violations,
+                      total if total != len(violations) else None)
+
+
+def _root_gram(depth: int) -> list[list[int]]:
+    """The Gram matrix of (P_t - P_rev(t), Q_t - Q_rev(t)) over every code t
+    of length <= depth."""
+    dp, dq = array("q"), array("q")
+    for (_, _, p), (_, _, q), rev in zip(_rows(depth, 1, 0), _rows(depth, 0, 1),
+                                         _reversals(depth)):
+        dp += array("q", map(sub, p, _permuted(p, rev)))
+        dq += array("q", map(sub, q, _permuted(q, rev)))
+    return _gram((dp, dq))
+
+
+def _kernel_roots(g, max_entry: int) -> list[State]:
+    """The sorted roots (a, b, a+b) with a, b in 1..max_entry coprime whose
+    value-ordered pair (lo, hi) solves g.(lo, hi) == 0, for a 2x2 integer
+    matrix g.
+
+    A nonzero g with nonzero determinant solves only (0, 0).  With
+    determinant zero its rows are parallel, so its kernel is the line
+    through (-g01, g00), or through (-g11, g10) when the first row is
+    zero.  The coprime pairs on that line are its primitive vector and
+    that vector's negative; a root survives iff the primitive vector has
+    both entries positive and reads (lo, hi).  A zero g keeps every root.
+    """
+    (g00, g01), (g10, g11) = g
+    if not (g00 or g01 or g10 or g11):
+        return [(a, b, a + b) for a in range(1, max_entry + 1)
+                for b in range(1, max_entry + 1) if gcd(a, b) == 1]
+    if g00 * g11 != g01 * g10:
+        return []
+    x, y = (-g01, g00) if g00 or g01 else (-g11, g10)
+    if x < 0:
+        x, y = -x, -y
+    k = gcd(x, y)
+    lo, hi = x // k, y // k
+    if not 0 < lo <= hi <= max_entry:
+        return []
+    return [(lo, hi, lo + hi)] + ([(hi, lo, lo + hi)] if lo != hi else [])
 
 
 def scan_roots(max_entry: int, depth: int) -> RootScanReport:
@@ -354,30 +415,17 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
     keeps the identity over all codes of length <= depth iff (lo, hi) is
     orthogonal to every (P_t - P_rev(t), Q_t - Q_rev(t)), that is iff
     G.(lo, hi) == 0 for the Gram matrix G of those vectors.  G is built
-    once, in exact integers, and then tested against each root.
+    once, in exact integers, and the survivors are read off its kernel
+    (_kernel_roots).  The coprime roots checked are counted, not walked.
+    Cost: O(max_entry log log max_entry + 2**depth) time, O(max_entry +
+    2**depth) memory.
     """
     if max_entry < 2:
         raise DomainError("max_entry must be >= 2")
     if depth < 2:
         raise DomainError("depth must be >= 2")
-    dp, dq = array("q"), array("q")
-    for (_, _, p), (_, _, q), rev in zip(_rows(depth, 1, 0), _rows(depth, 0, 1),
-                                         _reversals(depth)):
-        dp += array("q", map(sub, p, _permuted(p, rev)))
-        dq += array("q", map(sub, q, _permuted(q, rev)))
-    (g00, g01), (g10, g11) = _gram((dp, dq))
-    checked = 0
-    survivors = []
-    for a in range(1, max_entry + 1):
-        for b in range(1, max_entry + 1):
-            if gcd(a, b) != 1:
-                continue
-            checked += 1
-            lo, hi = min(a, b), max(a, b)
-            if g00 * lo + g01 * hi == 0 and g10 * lo + g11 * hi == 0:
-                survivors.append((a, b, a + b))
     return RootScanReport(
         scope=f"roots (a, b, a+b) with a, b <= {max_entry}, coprime, depth {depth}",
-        checked=checked,
-        survivors=sorted(survivors),
+        checked=_coprime_pairs(max_entry),
+        survivors=_kernel_roots(_root_gram(depth), max_entry),
     )

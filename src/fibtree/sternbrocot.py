@@ -12,15 +12,17 @@ off the engine's level rows, and the path side is built by the same
 interleave, since f_L maps (p, q) to (p, p + q) and f_R to (p + q, q).
 Every pair on either side is coprime, so equal pair sets are equal
 fraction sets.  Tree parenthood is not preserved by the correspondence,
-so nothing here relates parents to parents.
+so nothing here relates parents to parents.  GenerationVerdict is a
+NamedTuple, not a dataclass, so an `sb check` process does not import
+dataclasses.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .engine import ROOT, State, evaluate, level_row
 from .errors import DomainError
@@ -57,8 +59,7 @@ def apply_path(path: str, seed: Fraction) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(NamedTuple):
     length: int
     equal: bool
     state_side: int

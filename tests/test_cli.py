@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fibtree import chain, cli
+import fibtree
+from fibtree import chain, threehat
 from fibtree.cli import main
 
 
@@ -287,7 +292,8 @@ def test_hat_chain_walks_the_chain_once(capsys, monkeypatch, flags):
         calls.append(args)
         return chain(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "chain", counting_chain)
+    # the command imports chain from fibtree.threehat when it runs
+    monkeypatch.setattr(threehat, "chain", counting_chain)
     rc, _, _ = run(capsys, "hat", "chain", "3", "11", "14", *flags)
     assert rc == 0
     assert len(calls) == 1
@@ -352,3 +358,108 @@ def test_scan_output_matches_golden_digest(capsys, command, fmt, code, digest):
     rc, out, _ = run(capsys, *argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------- fresh interpreters
+
+# In-process tests run after other tests have imported every module, so
+# what a command loads, and whether the lazy package resolves a name on
+# its own, shows only in a new interpreter.
+
+def _child(*args):
+    src = str(Path(fibtree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+# Prints the modules that a bare `import fibtree`, or one command given
+# as arguments, adds to sys.modules.
+NEW_MODULES = """
+import os, sys
+before = set(sys.modules)
+if sys.argv[1:]:
+    from fibtree.cli import main
+    main(sys.argv[1:] + ["--out", os.devnull])
+else:
+    import fibtree
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+SCAN_UNUSED = {"dataclasses", "fractions", "csv", "fibtree.threehat",
+               "fibtree.expansion", "fibtree.metrics", "fibtree.sternbrocot"}
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("scan reflection --max-len 8", SCAN_UNUSED),
+    ("scan converse --len 8", SCAN_UNUSED),
+    ("scan roots --max-entry 20 --depth 4", SCAN_UNUSED),
+    ("sb check --depth 4",
+     {"dataclasses", "fibtree.threehat", "fibtree.expansion", "fibtree.scans"}),
+])
+def test_command_imports_only_its_modules(command, unused):
+    proc = _child("-c", NEW_MODULES, *command.split())
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "fibtree.cli" in added
+    assert not added & unused
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _child("-c", NEW_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "fibtree" in added
+    assert [m for m in added if m.startswith("fibtree.")] == []
+
+
+FRESH_COMMANDS = [
+    "eval 0101",
+    "trace 0110",
+    "reflect 10011",
+    "metrics 0110",
+    "expand 10011",
+    "expand 10011 --recursive",
+    "expand --inverse 2 3 4",
+    "sb frac 0110",
+    "sb check --depth 4",
+    "scan reflection --max-len 6",
+    "scan conjecture --len 6",
+    "scan converse --len 6",
+    "scan roots --max-entry 20 --depth 4",
+    "scan blocks --max-j 4",
+    "hat simulate 3 11 14",
+    "hat chain 3 11 14",
+    "hat solve --solver C --rounds 1 --value 3",
+]
+
+
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_every_command_runs_in_a_fresh_process(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    proc = _child("-m", "fibtree", *command.split())
+    assert (proc.returncode, proc.stdout) == (rc, out), proc.stderr
+
+
+PUBLIC_NAMES = """
+import importlib
+import fibtree
+assert fibtree.scans is importlib.import_module("fibtree.scans")
+assert fibtree.cli.main is importlib.import_module("fibtree.cli").main
+star = {}
+exec("from fibtree import *", star)
+for name in fibtree.__all__:
+    module = importlib.import_module("fibtree." + fibtree._OWNER[name])
+    assert star[name] is getattr(fibtree, name) is getattr(module, name), name
+assert not hasattr(fibtree, "no_such_name")
+try:
+    fibtree.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_public_names_resolve_lazily():
+    proc = _child("-c", PUBLIC_NAMES)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

@@ -259,6 +259,13 @@ def test_states_refuse_entries_that_are_not_ints(check, kind, data):
         STATE_CHECKS[check](tuple(triple))
 
 
+@pytest.mark.parametrize("check", sorted(STATE_CHECKS))
+@pytest.mark.parametrize("triple", [(1, 2), (1, 2, 3, 4), 5, None])
+def test_states_refuse_what_is_not_a_triple(check, triple):
+    with pytest.raises(DomainError):
+        STATE_CHECKS[check](triple)
+
+
 @settings(max_examples=30)
 @given(codes, st.integers(1, 30), st.integers(1, 30))
 def test_generalized_roots_keep_the_sum_shape(code, a, b):

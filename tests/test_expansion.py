@@ -23,6 +23,7 @@ from fibtree import (
     tree_value,
     value,
 )
+from fixtures import NOT_INT_ENTRIES
 from oracle import fib_by_addition
 
 
@@ -99,6 +100,17 @@ def test_expansion_validation():
         Expansion(0, 1, 2)
     with pytest.raises(DomainError):
         encode_expansion("111")
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("kind", sorted(NOT_INT_ENTRIES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_expansion_refuses_entries_that_are_not_ints(field, kind, data):
+    entries = [1, 2, 3]
+    entries[field] = data.draw(NOT_INT_ENTRIES[kind])
+    with pytest.raises(DomainError):
+        Expansion(*entries)
 
 
 # ------------------------------------------------------------ the trees

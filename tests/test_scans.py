@@ -1,6 +1,7 @@
 import tracemalloc
 from array import array
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -138,6 +139,30 @@ def test_converse_classes_replay():
         assert len(cls.codes) >= 2
 
 
+def test_code_names_match_format():
+    for length in range(1, 13):
+        assert scans._code_strs(length) == [format(i, f"0{length}b")
+                                            for i in range(1 << length)]
+
+
+def _converse_by_matrices(length):
+    """Classes of two or more codes sharing a matrix-oracle value, by value,
+    each flagged when two of its codes are neither equal nor reflections."""
+    by_value = {}
+    for bits in product("01", repeat=length):
+        code = "".join(bits)
+        by_value.setdefault(value_by_matrices(code), []).append(code)
+    return [(val, tuple(codes),
+             any(s != t and s[::-1] != t for s in codes for t in codes))
+            for val, codes in sorted(by_value.items()) if len(codes) > 1]
+
+
+def test_converse_classes_match_matrix_oracle():
+    for length in range(1, 13):
+        assert [(c.value, c.codes, c.beyond_reflection)
+                for c in scan_converse(length)] == _converse_by_matrices(length)
+
+
 # ---------------------------------------------------- conjecture scans
 
 LENGTH5_PAIRS = [
@@ -225,6 +250,58 @@ def test_root_scan_matches_matrix_oracle():
                 survivors.append((a, b, a + b))
     assert survivors == [(1, 2, 3), (2, 1, 3)]
     assert scan_roots(12, 6).survivors == survivors
+
+
+def test_coprime_pair_count_matches_the_pair_loop():
+    count = 0
+    for n in range(1, 301):
+        # the pairs with max(a, b) == n
+        count += 1 if n == 1 else 2 * sum(1 for a in range(1, n) if gcd(a, n) == 1)
+        assert scans._coprime_pairs(n) == count, n
+
+
+def _root_sweep(g, max_entry):
+    """Every coprime (a, b) tested against g one by one, as scan_roots once did."""
+    (g00, g01), (g10, g11) = g
+    checked, survivors = 0, []
+    for a in range(1, max_entry + 1):
+        for b in range(1, max_entry + 1):
+            if gcd(a, b) != 1:
+                continue
+            checked += 1
+            lo, hi = min(a, b), max(a, b)
+            if g00 * lo + g01 * hi == 0 and g10 * lo + g11 * hi == 0:
+                survivors.append((a, b, a + b))
+    return checked, sorted(survivors)
+
+
+SYNTHETIC_GRAMS = {
+    "zero": [[0, 0], [0, 0]],
+    "kernel (2, 5)": [[25, -10], [-10, 4]],
+    "kernel (2, 5), negated": [[-25, 10], [10, -4]],
+    "kernel (1, 1)": [[1, -1], [-1, 1]],
+    "kernel (5, 2)": [[4, -10], [-10, 25]],
+    "mixed-sign kernel": [[1, 1], [1, 1]],
+    "kernel (3, 40), past 30": [[1600, -120], [-120, 9]],
+    "zero first row, kernel (2, 3)": [[0, 0], [3, -2]],
+    "zero first row, kernel (1, 0)": [[0, 0], [0, 7]],
+    "rank 2": [[2, 1], [1, 3]],
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_GRAMS)
+def test_kernel_roots_match_the_pair_sweep(name):
+    g = SYNTHETIC_GRAMS[name]
+    for max_entry in (2, 30, 40):
+        assert scans._kernel_roots(g, max_entry) == _root_sweep(g, max_entry)[1]
+
+
+@pytest.mark.parametrize("depth", range(2, 13))
+def test_root_scan_matches_the_pair_sweep(depth):
+    g = scans._root_gram(depth)
+    for max_entry in (2, 3, 7, 60):
+        report = scan_roots(max_entry, depth)
+        assert (report.checked, report.survivors) == _root_sweep(g, max_entry)
 
 
 def test_block_beats_alternating_is_false_with_reflections_equal():
