@@ -32,9 +32,11 @@ def as_code(text: str) -> str:
     """Validate a code string; empty is allowed and names the root."""
     if not isinstance(text, str):
         raise DomainError(f"code must be a string, got {type(text).__name__}")
-    for ch in text:
-        if ch not in _BITS:
-            raise DomainError(f"invalid code symbol {ch!r}")
+    if text.strip("01"):
+        # some symbol is not a bit; name the first one
+        for ch in text:
+            if ch not in _BITS:
+                raise DomainError(f"invalid code symbol {ch!r}")
     return text
 
 
@@ -125,20 +127,25 @@ def decode_state(s: State) -> str:
     reduction; a reduction that leaves the ladder of valid states means
     the input was not reachable.  The reductions are reduce_state's,
     inlined: they keep gcd(a, b) == 1, so b == 2a only at the root.
+
+    A run of 0-steps (b -= a while b > 2a) is one floor division: it
+    takes k = (b - a - 1) // a steps and leaves a < b <= 2a for the
+    1-step, so each pass of the loop is one Euclid step of (a, b), not
+    one bit.  With a == 1, only 0-steps remain, down to the root (1, 2).
     """
     a, b, c = as_state(s)
     if not (1 <= a < b) or gcd(a, b) != 1:
         raise DomainError(f"state {s} is not reachable from the root")
     bits: list[str] = []
-    while a != 1 or b != 2:
-        if b > 2 * a:
-            b -= a
-            bits.append("0")
-        else:
-            a, b = b - a, a
-            bits.append("1")
+    while a != 1:
+        k = (b - a - 1) // a
+        if k:
+            bits.append("0" * k)
+        a, b = b - (k + 1) * a, a
+        bits.append("1")
         if a < 1 or not a < b:
             raise DomainError(f"state {s} is not reachable from the root")
+    bits.append("0" * (b - 2))
     return "".join(reversed(bits))
 
 

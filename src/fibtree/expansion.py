@@ -9,10 +9,13 @@ number.  The expansion recurses, since every coefficient is itself an
 initial value or the value of a shorter code, giving a nested tree whose
 leaves are plain Fibonacci numbers.
 
-Within one expand_recursive call, equal subtrees are built once and
-shared, so the tree is a DAG whose distinct nodes grow with the code
-length, while the tree it spells out (and its JSON form) can grow far
-faster.  tree_value visits each distinct node once.
+expand_recursive builds every node from slices of the code alone: the
+code of the coefficient state is the reversed tail, and the codes of the
+two coefficients are prefixes of it, so no node evaluates or decodes a
+state.  Within one call, equal subtrees are built once and shared, so
+the tree is a DAG whose distinct nodes grow with the code length, while
+the tree it spells out (and its JSON form) can grow far faster.
+tree_value visits each distinct node once.
 """
 
 from __future__ import annotations
@@ -70,9 +73,7 @@ def encode_expansion(code: str) -> Expansion:
     code = as_code(code)
     if "0" not in code:
         raise DomainError("all-ones codes have no expansion; use pure_fibonacci")
-    leading = 0
-    while code[leading] == "1":
-        leading += 1
+    leading = code.index("0")
     k = leading + 2
     rest = code[leading + 1:]
     if not rest:
@@ -172,27 +173,25 @@ def _expand(code: str, memo: dict) -> ExpansionTree:
 def _expand_node(code: str, memo: dict) -> ExpansionTree:
     if "0" not in code:
         return Leaf(len(code) + 4)
-    e = encode_expansion(code)
-    if e.a == 1 and e.b == 1:
-        return SumNode(e.k, Leaf(2), Leaf(2))
+    leading = code.index("0")
+    k = leading + 2
+    rest = code[leading + 1:]
+    if not rest:
+        return SumNode(k, Leaf(2), Leaf(2))
 
-    # Codes for the coefficient pair: with w the code of the state
-    # (min, max, min+max), the larger coefficient is the value of w less
-    # its last bit, and the smaller one is the value of w less its
-    # trailing zeros and two more bits (the leading entry rides along
-    # every 0-step and was the middle entry two steps before the last
-    # 1-step).  Coefficients 1, 2, 3 are initial values, not prefixes.
-    lo, hi = min(e.a, e.b), max(e.a, e.b)
-    w = decode_state((lo, hi, lo + hi))
-    code_hi = w[:-1]
-    code_lo = w.rstrip("0")[:-2]
-
-    def subtree(v: int, sub: str) -> ExpansionTree:
-        if v <= 3:
-            return Leaf(v + 1)
-        return _expand(sub, memo)
-
-    t_lo, t_hi = subtree(lo, code_lo), subtree(hi, code_hi)
-    if e.a < e.b:
-        return SumNode(e.k, t_lo, t_hi)
-    return SumNode(e.k, t_hi, t_lo)
+    # encode_expansion evaluates w = rest[1:][::-1] to the state
+    # (lo, hi, lo + hi) of the coefficient pair, so w is that state's code
+    # and the coefficients' codes are slices of it.  The larger coefficient
+    # is the value of w less its last bit; the smaller one is the value of
+    # u = w less its trailing zeros, less two more bits (the leading entry
+    # rides along every 0-step and was the middle entry two steps before
+    # the last 1-step).  Coefficients 1, 2, 3 are initial values, not
+    # prefixes: hi <= 3 iff len(w) <= 1 and lo <= 3 iff len(u) <= 2.
+    w = rest[:0:-1]
+    u = w.rstrip("0")
+    t_lo = Leaf(2 + len(u)) if len(u) <= 2 else _expand(u[:-2], memo)
+    t_hi = Leaf(3 + len(w)) if len(w) <= 1 else _expand(w[:-1], memo)
+    # the orienting bit: 1 puts the smaller coefficient on F(k)
+    if rest[0] == "1":
+        return SumNode(k, t_lo, t_hi)
+    return SumNode(k, t_hi, t_lo)

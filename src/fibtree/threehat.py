@@ -136,22 +136,49 @@ def bounds(solver: str, n: int) -> tuple[int, int]:
 # ------------------------------------------------------------- simulator
 
 def first_announcement(w) -> tuple[int, int]:
-    """(turn, player index) of the first announcement; closed form, O(chain)."""
+    """(turn, player index) of the first announcement; closed form, one
+    divmod per Euclid run of the sorted pair.
+
+    The sigma steps are walked run by run.  With lo < mid the two smaller
+    entries and the maximum lo + mid in slot i, a step writes mid - lo
+    into slot i, and while lo stays the smallest entry the maximum
+    alternates between slot i and the slot k of mid.  With
+    mid = q*lo + r, the run takes q steps and leaves (r, lo) when r > 0,
+    the smallest now in slot i for odd q and in slot k for even q; when
+    r == 0 it takes q - 1 steps to the base (lo, lo, 2lo).
+
+    The turn recursion then replays each run backwards.  Its first step
+    moves the turn to the next turn of the run's last max holder; from
+    there the holders alternate between two slots, and the next turn of
+    the other slot and then back again is exactly 3 turns on, so each
+    two further steps add 3.
+    """
     cur = validate_config(w)
-    path: list[int] = []
+    i = max(range(3), key=cur.__getitem__)  # the sum entry is the unique max
+    j, k = (i + 1) % 3, (i + 2) % 3
+    lo, mid = cur[j], cur[k]
+    if lo > mid:
+        lo, mid, j, k = mid, lo, k, j
+    runs: list[tuple[int, int, int]] = []  # (first max slot, second, steps)
     while True:
-        i = max(range(3), key=cur.__getitem__)  # the sum entry is the unique max
-        x, y = cur[(i + 1) % 3], cur[(i + 2) % 3]
-        if x == y:
-            turn = i + 1
+        q, r = divmod(mid, lo)
+        if not r:
+            if q > 1:
+                runs.append((i, k, q - 1))
+            turn = (i if q % 2 else k) + 1
             break
-        path.append(i)
-        nxt = list(cur)
-        nxt[i] = abs(x - y)
-        cur = tuple(nxt)
-    for i in reversed(path):
-        lo = turn + 1
-        turn = lo + ((i + 1 - lo) % 3)
+        runs.append((i, k, q))
+        if q % 2:
+            i, j, k = k, i, j
+        else:
+            j, k = k, j
+        lo, mid = r, lo
+    for i, k, n in reversed(runs):
+        last, other = (i, k) if n % 2 else (k, i)
+        turn += 1 + (last - turn) % 3
+        turn += 3 * ((n - 1) // 2)
+        if not n % 2:
+            turn += 1 + (other - turn) % 3
     return turn, (turn - 1) % 3
 
 

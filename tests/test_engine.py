@@ -187,6 +187,12 @@ def test_decode_matches_reduce_state_ladder():
                 assert _outcome(decode_state, s) == _outcome(_decode_by_reduce_state, s)
 
 
+def test_decode_folds_runs_of_zero_steps():
+    # A million 0-steps form one Euclid run: O(runs), not O(bits).
+    n = 10**6
+    assert decode_state((1, n, n + 1)) == "0" * (n - 2)
+
+
 # --------------------------------------------------------- enumeration
 
 def test_enumerate_codes_orders_by_integer():
@@ -226,6 +232,28 @@ def test_code_validation():
         as_code("102")
     with pytest.raises(DomainError):
         as_code(1011)
+
+
+# Whitespace, non-ASCII digits and other symbols that are not bits.
+NOT_BITS = st.one_of(
+    st.sampled_from([" ", "\t", "\n", "\u00a0", "\u0660", "\uff11", "\u00b2", "2", "O", "l"]),
+    st.characters(blacklist_characters="01"),
+)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01", max_size=12), NOT_BITS, st.text(max_size=12),
+       st.sampled_from(["start", "middle", "end"]))
+def test_code_validation_names_the_first_bad_symbol(bits, bad, tail, where):
+    if where == "start":
+        text = bad + bits + tail
+    elif where == "middle":
+        text = "0" + bits + bad + tail + "1"
+    else:
+        text = bits + bad
+    with pytest.raises(DomainError) as err:
+        as_code(text)
+    assert str(err.value) == f"invalid code symbol {bad!r}"
 
 
 def test_state_validation():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from math import gcd
 
 import pytest
@@ -23,6 +24,7 @@ from fibtree import (
     tree_value,
     value,
 )
+import fibtree.expansion
 from fixtures import NOT_INT_ENTRIES
 from oracle import fib_by_addition
 
@@ -185,3 +187,30 @@ def test_long_codes_share_subtrees(code):
 def test_no_sharing_between_calls():
     first, second = expand_recursive("0110100101"), expand_recursive("0110100101")
     assert first == second and first is not second
+
+
+# A digest of the JSON tree and value of 3,000 seeded random codes of
+# 15..64 bits, recorded while nodes were still built by encoding and
+# decoding states: building them from slices of the code must not change
+# a byte.
+RANDOM_TREES_SHA256 = "83d0638056a08b0b1b9c13c9b34988fc3ad430537c3c3479cb6507878efcc43f"
+
+
+def test_random_long_trees_serialise_as_before():
+    rng = random.Random(1564)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        length = rng.randint(15, 64)
+        tree = expand_recursive(format(rng.getrandbits(length), f"0{length}b"))
+        digest.update(json.dumps([tree_to_jsonable(tree), tree_value(tree)]).encode())
+    assert digest.hexdigest() == RANDOM_TREES_SHA256
+
+
+def test_nodes_are_built_from_slices_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expand_recursive evaluated or decoded a state")
+
+    for name in ("decode_state", "evaluate", "encode_expansion"):
+        monkeypatch.setattr(fibtree.expansion, name, refuse)
+    for code in ("10", "1011", "10011", "0110100101", "01" * 20, "1110" + "0" * 30):
+        assert tree_value(expand_recursive(code)) == value(code)

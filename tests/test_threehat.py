@@ -127,6 +127,40 @@ def test_closed_form_matches_recursion_everywhere():
         assert w[player] == max(w)
 
 
+def _announcement_by_subtraction(w):
+    """first_announcement one sigma step at a time, as it was computed
+    before runs were folded: walk down to the base, then replay the turn
+    recursion once per step."""
+    cur = validate_config(w)
+    path = []
+    while True:
+        i = max(range(3), key=cur.__getitem__)
+        x, y = cur[(i + 1) % 3], cur[(i + 2) % 3]
+        if x == y:
+            turn = i + 1
+            break
+        path.append(i)
+        nxt = list(cur)
+        nxt[i] = abs(x - y)
+        cur = tuple(nxt)
+    for i in reversed(path):
+        lo = turn + 1
+        turn = lo + ((i + 1 - lo) % 3)
+    return turn, (turn - 1) % 3
+
+
+def test_folded_runs_match_the_step_by_step_walk():
+    for a in range(1, 151):
+        for b in range(1, 151):
+            for w in set(permutations((a, b, a + b))):
+                assert first_announcement(w) == _announcement_by_subtraction(w), w
+
+
+def test_long_run_announces_in_one_division():
+    # Recorded from the step-by-step walk: ten million sigma steps.
+    assert first_announcement((1, 10**7, 10**7 + 1)) == (15_000_000, 2)
+
+
 def test_reference_respects_its_cap():
     assert reference_announcement((3, 1, 2), cap=3) is None
     assert reference_announcement((3, 1, 2), cap=4) == 4
