@@ -23,8 +23,6 @@ State = tuple[int, int, int]
 
 ROOT: State = (1, 2, 3)
 
-_BITS = {"0": 0, "1": 1}
-
 from .errors import DomainError
 
 
@@ -32,11 +30,11 @@ def as_code(text: str) -> str:
     """Validate a code string; empty is allowed and names the root."""
     if not isinstance(text, str):
         raise DomainError(f"code must be a string, got {type(text).__name__}")
-    if text.strip("01"):
-        # some symbol is not a bit; name the first one
-        for ch in text:
-            if ch not in _BITS:
-                raise DomainError(f"invalid code symbol {ch!r}")
+    # strip takes the bits off both ends, so what is left starts at the
+    # first symbol that is not a bit
+    bad = text.strip("01")
+    if bad:
+        raise DomainError(f"invalid code symbol {bad[0]!r}")
     return text
 
 

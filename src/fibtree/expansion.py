@@ -69,13 +69,22 @@ def pure_fibonacci(code: str) -> int:
     return fib(len(code) + 4)
 
 
+def _split(code: str) -> tuple[int, str] | None:
+    """Split a valid code at its first zero into (k, rest): the run of
+    leading ones fixes k, and rest is the orienting bit followed by the
+    code of the coefficient state, reversed.  None for all-ones codes, which have no expansion."""
+    leading = code.find("0")
+    if leading < 0:
+        return None
+    return leading + 2, code[leading + 1:]
+
+
 def encode_expansion(code: str) -> Expansion:
     code = as_code(code)
-    if "0" not in code:
+    split = _split(code)
+    if split is None:
         raise DomainError("all-ones codes have no expansion; use pure_fibonacci")
-    leading = code.index("0")
-    k = leading + 2
-    rest = code[leading + 1:]
+    k, rest = split
     if not rest:
         return Expansion(1, 1, k)
     # The bit after the first zero orients the coefficient pair; the bits
@@ -88,6 +97,7 @@ def encode_expansion(code: str) -> Expansion:
 
 def decode_expansion(e: Expansion) -> str:
     """Inverse of encode_expansion on its whole domain."""
+    # the layout _split takes apart: k - 2 ones, then the first zero
     prefix = "1" * (e.k - 2) + "0"
     if e.a == 1 and e.b == 1:
         return prefix
@@ -171,11 +181,10 @@ def _expand(code: str, memo: dict) -> ExpansionTree:
 
 
 def _expand_node(code: str, memo: dict) -> ExpansionTree:
-    if "0" not in code:
+    split = _split(code)
+    if split is None:
         return Leaf(len(code) + 4)
-    leading = code.index("0")
-    k = leading + 2
-    rest = code[leading + 1:]
+    k, rest = split
     if not rest:
         return SumNode(k, Leaf(2), Leaf(2))
 
