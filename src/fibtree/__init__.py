@@ -37,8 +37,8 @@ _EXPORTS = {
     "scans": (
         "BlockAlternatingVerdict", "RootScanReport", "ScanReport", "ValueClass",
         "build_value_tables", "check_block_alternating",
-        "iter_conjecture_violations", "scan_conjecture", "scan_converse",
-        "scan_reflection", "scan_roots",
+        "iter_conjecture_violations", "iter_converse_classes", "scan_conjecture",
+        "scan_converse", "scan_reflection", "scan_roots",
     ),
     "sternbrocot": (
         "GenerationVerdict", "apply_path", "check_generation", "f_L", "f_R",

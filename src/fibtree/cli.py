@@ -31,8 +31,8 @@ EXIT_FINDINGS = 3
 LENGTH_CAP = 30
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# one compact encoder for every line; json.dumps would build one per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _frac(q) -> str:
@@ -352,24 +352,30 @@ def _cmd_scan_conjecture(args, out: _Writer) -> int:
 
 
 def _cmd_scan_converse(args, out: _Writer) -> int:
-    from .scans import scan_converse
+    from .scans import iter_converse_classes
 
     _check_cap(args, "--len", args.length)
     done = _stopwatch(f"scan converse len {args.length}")
-    classes = scan_converse(args.length, jobs=args.jobs)
-    items = [c.to_jsonable() for c in classes]
-    flagged = sum(1 for it in items if it["beyond_reflection"])
+    classes = iter_converse_classes(args.length)
+    flagged = 0
+
+    def records():
+        nonlocal flagged
+        for cls in classes:
+            flagged += cls.beyond_reflection
+            yield cls.to_jsonable()
+
     scope = f"converse:len={args.length}"
-    _emit_stream(args, out, items,
+    _emit_stream(args, out, records(),
                  lambda n: _scan_summary(scope, 1 << args.length, flagged,
-                                         classes=len(items)),
+                                         classes=n),
                  lambda it: (f"value {it['value']}: {' '.join(it['codes'])}"
                              + (" [beyond reflection]"
                                 if it["beyond_reflection"] else "")),
                  ["value", "codes", "beyond_reflection"],
                  lambda it: [it["value"], " ".join(it["codes"]),
                              it["beyond_reflection"]],
-                 lambda n: (f"checked {1 << args.length} codes, {len(items)} "
+                 lambda n: (f"checked {1 << args.length} codes, {n} "
                             f"shared-value classes, {flagged} beyond reflection"))
     done()
     return EXIT_FINDINGS if flagged else EXIT_OK

@@ -16,9 +16,11 @@ reflection at length L costs O(2**(L/2)) time and memory, and the root
 scan reads its survivors off the kernel of one 2x2 Gram matrix and
 counts the coprime roots with a totient sieve, in
 O(max_entry log log max_entry + 2**depth).  Rows of every code are
-built only to write violation records.  The converse and conjecture
-scans stay O(2**L); the converse scan spells its codes from a table of
-half-length names.
+built only to write violation records.  The converse scan streams its
+classes from the same split: each head's block of tail values is grouped
+straight into per-value arrays of code indices, about 20 bytes per code,
+and names are spelled only for the classes it yields.  The conjecture
+scan stays O(2**L) in time and memory.
 
 Scans run in one process and are deterministic: the same parameters
 produce the same report, and the jobs arguments are accepted for
@@ -30,8 +32,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right, insort
+from collections import defaultdict, deque
+from functools import partial
+from itertools import count, repeat
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, and_, mul, rshift, sub
 from typing import NamedTuple
 
 from .engine import State, _rows, level_row, level_rows, value
@@ -183,16 +188,11 @@ def _code_str(x: int, length: int) -> str:
 
 
 def _code_strs(length: int) -> list[str]:
-    """The text of every code of one length, indexed like the level rows.
-
-    Each name is a ceil(L/2)-bit head name followed by a floor(L/2)-bit
-    tail name, so only O(2**(L/2)) names are built bit by bit.
-    """
-    tails = [""]
-    for _ in range(length // 2):
-        tails = [s + b for s in tails for b in "01"]
-    heads = [s + b for s in tails for b in "01"] if length % 2 else tails
-    return [h + t for h in heads for t in tails]
+    """The text of every code of one length, indexed like the level rows."""
+    names = [""]
+    for _ in range(length):
+        names = [s + b for s in names for b in "01"]
+    return names
 
 
 def _coprime_pairs(n: int) -> int:
@@ -246,31 +246,58 @@ def scan_reflection(max_len: int, jobs: int = 1) -> ScanReport:
     )
 
 
-def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
-    """Group codes of one length by value; flag classes that go beyond reflection.
+def iter_converse_classes(length: int):
+    """Group the codes of one length by value; yield every class of two or
+    more codes as a ValueClass, in ascending value order.
 
-    Every class with at least two codes is returned.  A class is flagged
-    when it contains codes that are neither equal nor mutual reflections,
-    which is exactly a counterexample to the converse of the reflection
-    principle at this length.  jobs is accepted for compatibility and
-    selects nothing.
+    A class is flagged when it holds codes that are neither equal nor
+    mutual reflections, which is exactly a counterexample to the converse
+    of the reflection principle at this length.  Each code is split as
+    t = h||l with |h| = ceil(L/2), and its value a_h*P_l + b_h*Q_l comes
+    from half-length rows.  Each head's block of tail values is grouped
+    straight into per-value arrays of code indices, which therefore rise
+    within a class; no full-length row is built.  A class's names are
+    spelled from the head and tail names when it is yielded, and its
+    array is dropped then.  Memory is about 20 bytes per code.  length is
+    checked at the call, before the first class.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
-    by_value: dict[int, list[int]] = {}
-    for code, val in enumerate(level_row(length)[2]):
-        by_value.setdefault(val, []).append(code)
-    names = _code_strs(length)
-    classes = []
+    return _converse_classes(length)
+
+
+def _converse_classes(length: int):
+    low = length // 2
+    split = _split_levels(length - low)
+    a_row, b_row = split[length - low][:2]
+    p, q = split[low][2:4]
+    by_value = defaultdict(partial(array, "Q"))
+    for base, a, b in zip(count(0, 1 << low), a_row, b_row):
+        # the head's block of values, each code index appended to its
+        # value's array without a Python-level step per code
+        block = map(add, map(mul, p, repeat(a)), map(mul, q, repeat(b)))
+        deque(map(array.append, map(by_value.__getitem__, block), count(base)),
+              maxlen=0)
+    heads, tails, mask = _code_strs(length - low), _code_strs(low), (1 << low) - 1
     for val in sorted(by_value):
-        codes = by_value[val]
+        codes = by_value.pop(val)
         if len(codes) < 2:
             continue
-        texts = tuple(map(names.__getitem__, codes))
+        texts = tuple(map(add, map(heads.__getitem__, map(rshift, codes, repeat(low))),
+                          map(tails.__getitem__, map(and_, codes, repeat(mask)))))
         # only a plain reflection pair {t, refl(t)} stays unflagged
         beyond = len(texts) > 2 or texts[0][::-1] != texts[1]
-        classes.append(ValueClass(val, texts, beyond))
-    return classes
+        yield ValueClass(val, texts, beyond)
+
+
+def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
+    """The classes of iter_converse_classes, as a list.
+
+    The grouping streams from the head/tail split at about 20 bytes per
+    code; the list then holds the names of every code in a class.  jobs
+    is accepted for compatibility and selects nothing.
+    """
+    return list(iter_converse_classes(length))
 
 
 def check_block_alternating(j: int) -> BlockAlternatingVerdict:

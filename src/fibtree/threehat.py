@@ -550,6 +550,9 @@ def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
 # ------------------------------------------------------------ the sweeps
 
 def _all_configs(max_entry: int):
+    """Every configuration with entries <= max_entry, each once: the sum s
+    is the unique maximum, so its slot and the split x + y tell the
+    triples apart."""
     for s in range(2, max_entry + 1):
         for x in range(1, s):
             y = s - x
@@ -597,11 +600,7 @@ def lemma_report(max_entry: int) -> LemmaReport:
     violations = []
     abbr_dev = 0
     abbr_samples = []
-    seen = set()
     for w in _all_configs(max_entry):
-        if w in seen:
-            continue
-        seen.add(w)
         checked += 1
         turn, player = first_announcement(w)
         rnd = (turn + 2) // 3
@@ -654,11 +653,7 @@ def divergence_sweep(max_entry: int) -> DivergenceReport:
     """Every configuration must announce within 3 * (L + 2) turns."""
     checked = 0
     divergences = []
-    seen = set()
     for w in _all_configs(max_entry):
-        if w in seen:
-            continue
-        seen.add(w)
         checked += 1
         turn, _ = first_announcement(w)
         cap = 3 * (chain_length(w) + 2)

@@ -14,6 +14,7 @@ from fibtree import (
     cluster_variance,
     enumerate_codes,
     iter_conjecture_violations,
+    iter_converse_classes,
     scan_conjecture,
     scan_converse,
     scan_reflection,
@@ -158,9 +159,31 @@ def _converse_by_matrices(length):
 
 
 def test_converse_classes_match_matrix_oracle():
+    # odd lengths split into a head one bit longer than the tail
     for length in range(1, 13):
+        classes = list(iter_converse_classes(length))
+        assert classes == scan_converse(length)
         assert [(c.value, c.codes, c.beyond_reflection)
-                for c in scan_converse(length)] == _converse_by_matrices(length)
+                for c in classes] == _converse_by_matrices(length)
+
+
+def test_converse_stream_checks_length_at_the_call():
+    with pytest.raises(DomainError):
+        iter_converse_classes(0)
+
+
+def test_converse_stream_memory_per_code():
+    # the grouped code indices take 8 bytes a code, the per-value arrays
+    # and dict entries the rest; lists of ints and a name for every code
+    # took about 135
+    tracemalloc.start()
+    try:
+        for _ in iter_converse_classes(16):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 16
 
 
 # ---------------------------------------------------- conjecture scans

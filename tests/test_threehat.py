@@ -182,6 +182,18 @@ def test_divergence_sweep_is_empty():
     assert report.divergences == []
 
 
+def test_all_configs_yields_each_configuration_once():
+    configs = list(_all_configs(30))
+    assert len(set(configs)) == len(configs) == 3 * 30 * 29 // 2
+
+
+def test_sweeps_check_every_configuration():
+    # 3 * N * (N - 1) / 2 configurations: three slots for the sum s, and
+    # s - 1 splits of s for each s in 2..N
+    assert divergence_sweep(400).checked == 239_400
+    assert lemma_report(400).checked == 239_400
+
+
 # ------------------------------------------ chains versus the state tree
 
 def test_chains_mirror_tree_paths():
