@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it contributes to the package
 _EXPORTS = {
     "engine": (
-        "ROOT", "State", "apply_step", "as_code", "as_root", "as_state",
+        "ROOT", "State", "apply_step", "as_code", "as_state",
         "decode_state", "enumerate_codes", "enumerate_states", "evaluate",
         "level_row", "level_rows", "reduce_state", "reflect", "trace", "value",
     ),

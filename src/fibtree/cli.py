@@ -1,26 +1,39 @@
 """Command line surface.
 
-One binary, subcommand per operation.  Scans run in one process on the
-row kernel engine.level_rows; --jobs is accepted for compatibility and
-selects nothing.  Machine formats (json, csv) are deterministic:
-identical argv produces byte-identical output, so scan results can be
-diffed across runs.  Timings go to stderr only.  Each command imports
-the library modules it runs, so a process loads only what its command
-needs.
+One binary, subcommand per operation.  Each command computes its result
+and returns it as data, in one of two shapes:
 
-Exit codes: 0 success, 1 usage error, 2 domain error (invalid code,
-state, configuration or expansion), 3 scan completed and found
-violations or counterexamples.
+- a Doc: one JSON object, its text lines, and its CSV header and rows;
+- a Stream: scan records, lazy and never materialized, with a CSV
+  header and row function, a text-line function, and a summary
+  function that gets the record count once the records run out.
+
+One renderer, _render, writes either shape as text, JSON or CSV, and
+main owns the rendering, the stopwatch line of a scan and the exit
+code.  Scans run in one process on the row kernel engine.level_rows;
+--jobs is accepted for compatibility and selects nothing.  Machine
+formats (json, csv) are deterministic: identical argv produces
+byte-identical output, so scan results can be diffed across runs.
+Timings go to stderr only.  Each command imports the library modules it
+runs, so a process loads only what its command needs.
+
+Exit codes: 0 success, 1 usage error (including an --out path that
+cannot be written, or a reader that closed the output pipe early), 2
+domain error (invalid code, state, configuration or expansion), 3 scan
+completed and found violations or counterexamples.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
-from .engine import ROOT, as_code, as_root, evaluate, reflect, trace, value
+from .engine import ROOT, as_code, as_state, evaluate, reflect, trace, value
 from .errors import DivergenceError, DomainError
 
 EXIT_OK = 0
@@ -33,6 +46,30 @@ LENGTH_CAP = 30
 
 # one compact encoder for every line; json.dumps would build one per call
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class Doc(NamedTuple):
+    """A whole result: the JSON object, the text lines and the CSV table."""
+    json: dict
+    text: list[str]
+    header: list[str]
+    rows: list
+
+
+class Stream(NamedTuple):
+    """A scan result: records written one per line as they come, then a
+    summary.
+
+    summary(count) gets the number of records written and returns the
+    summary record, the summary sentence, and whether the scan found
+    anything.  stopwatch names the scan on its stderr timing line.
+    """
+    records: Iterable[dict]
+    header: list[str]
+    row: Callable
+    text: Callable
+    summary: Callable
+    stopwatch: str
 
 
 def _frac(q) -> str:
@@ -58,68 +95,42 @@ def _check_cap(args, name: str, limit: int) -> None:
         )
 
 
-class _Writer:
-    """Payload sink: stdout by default, the --out file when given."""
+def _render(result: Doc | Stream, fmt: str, out) -> bool:
+    """Write a result to out in fmt; return whether it found anything.
 
-    def __init__(self, path: str | None):
-        self._path = path
-        self._fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-
-    def line(self, text: str) -> None:
-        self._fh.write(text + "\n")
-
-    def rows(self):
+    A stream's summary ends its text and JSON payloads.  A CSV body
+    cannot carry the summary record, so the sentence goes to stderr there.
+    """
+    write = out.write
+    if fmt == "csv":
         import csv
 
-        return csv.writer(self._fh, lineterminator="\n")
-
-    def close(self) -> None:
-        if self._path:
-            self._fh.close()
-
-
-def _emit_doc(args, out: _Writer, doc: dict, text_lines: list[str],
-              csv_header: list[str], csv_rows: list[list]) -> None:
-    if args.format == "json":
-        out.line(_dumps(doc))
-    elif args.format == "csv":
-        w = out.rows()
-        w.writerow(csv_header)
-        w.writerows(csv_rows)
-    else:
-        for ln in text_lines:
-            out.line(ln)
-
-
-def _emit_stream(args, out: _Writer, items, summary_of, text_of,
-                 csv_header: list[str], csv_row_of, summary_text_of) -> int:
-    """Scan output: one record per line, then a trailing summary.
-
-    items may be a lazy iterable (conjecture scans yield millions of
-    pairs); the stream is never materialized.  summary_of / summary_text_of
-    receive the streamed record count once the stream is exhausted.  The
-    csv body cannot carry the summary object, so the summary sentence goes
-    to stderr there; json and text keep it in-band.
-    """
+        table = csv.writer(out, lineterminator="\n")
+        table.writerow(result.header)
+    if isinstance(result, Doc):
+        if fmt == "json":
+            write(_dumps(result.json) + "\n")
+        elif fmt == "csv":
+            table.writerows(result.rows)
+        else:
+            out.writelines(line + "\n" for line in result.text)
+        return False
     count = 0
-    if args.format == "json":
-        for it in items:
-            out.line(_dumps(it))
-            count += 1
-        out.line(_dumps(summary_of(count)))
-    elif args.format == "csv":
-        w = out.rows()
-        w.writerow(csv_header)
-        for it in items:
-            w.writerow(csv_row_of(it))
-            count += 1
-        print(summary_text_of(count), file=sys.stderr)
+    if fmt == "csv":
+        for count, row in enumerate(map(result.row, result.records), 1):
+            table.writerow(row)
     else:
-        for it in items:
-            out.line(text_of(it))
-            count += 1
-        out.line(summary_text_of(count))
-    return count
+        line_of = _dumps if fmt == "json" else result.text
+        for count, line in enumerate(map(line_of, result.records), 1):
+            write(line + "\n")
+    record, sentence, found = result.summary(count)
+    if fmt == "json":
+        write(_dumps(record) + "\n")
+    elif fmt == "csv":
+        print(sentence, file=sys.stderr)
+    else:
+        write(sentence + "\n")
+    return found
 
 
 def _scan_summary(scope: str, checked: int, violation_count: int,
@@ -129,16 +140,6 @@ def _scan_summary(scope: str, checked: int, violation_count: int,
            "violation_count": violation_count, "elapsed_ms": None}
     doc.update(extra)
     return doc
-
-
-def _stopwatch(scope: str):
-    t0 = time.perf_counter()
-
-    def report():
-        ms = (time.perf_counter() - t0) * 1000.0
-        print(f"{scope}: {ms:.1f} ms", file=sys.stderr)
-
-    return report
 
 
 def _parse_root(text: str | None):
@@ -151,65 +152,50 @@ def _parse_root(text: str | None):
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
         raise DomainError(f"--root expects integers, got {text!r}")
-    return as_root((a, b, a + b))
+    return as_state((a, b, a + b))
 
 
 # ------------------------------------------------------------- commands
 
-def _cmd_eval(args, out: _Writer) -> int:
-    state = evaluate(as_code(args.code), _parse_root(args.root))
-    doc = {"state": list(state), "value": state[2]}
-    _emit_doc(args, out, doc,
-              [f"state: {state[0]} {state[1]} {state[2]}", f"value: {state[2]}"],
-              ["a", "b", "c", "value"],
-              [[state[0], state[1], state[2], state[2]]])
-    return EXIT_OK
+def _cmd_eval(args) -> Doc:
+    a, b, c = evaluate(as_code(args.code), _parse_root(args.root))
+    return Doc({"state": [a, b, c], "value": c},
+               [f"state: {a} {b} {c}", f"value: {c}"],
+               ["a", "b", "c", "value"], [[a, b, c, c]])
 
 
-def _cmd_trace(args, out: _Writer) -> int:
+def _cmd_trace(args) -> Doc:
     states = trace(as_code(args.code), _parse_root(args.root))
-    doc = {"code": args.code, "states": [list(s) for s in states]}
-    _emit_doc(args, out, doc,
-              [f"{i}: {s[0]} {s[1]} {s[2]}" for i, s in enumerate(states)],
-              ["step", "a", "b", "c"],
-              [[i, s[0], s[1], s[2]] for i, s in enumerate(states)])
-    return EXIT_OK
+    return Doc({"code": args.code, "states": [list(s) for s in states]},
+               ["{}: {} {} {}".format(i, *s) for i, s in enumerate(states)],
+               ["step", "a", "b", "c"],
+               [[i, *s] for i, s in enumerate(states)])
 
 
-def _cmd_reflect(args, out: _Writer) -> int:
+def _cmd_reflect(args) -> Doc:
     code = as_code(args.code)
     mirrored = reflect(code)
     val, mval = value(code), value(mirrored)
-    doc = {"code": code, "reflected": mirrored, "value": val, "reflected_value": mval}
-    _emit_doc(args, out, doc,
-              [f"code: {code} value: {val}",
-               f"reflected: {mirrored} value: {mval}"],
-              ["code", "reflected", "value", "reflected_value"],
-              [[code, mirrored, val, mval]])
-    return EXIT_OK
+    return Doc({"code": code, "reflected": mirrored, "value": val,
+                "reflected_value": mval},
+               [f"code: {code} value: {val}", f"reflected: {mirrored} value: {mval}"],
+               ["code", "reflected", "value", "reflected_value"],
+               [[code, mirrored, val, mval]])
 
 
-def _cmd_metrics(args, out: _Writer) -> int:
+def _cmd_metrics(args) -> Doc:
     from .metrics import cluster_average, cluster_profile, cluster_variance, weight
 
     code = as_code(args.code)
-    profile = cluster_profile(code)
-    avg, var = cluster_average(code), cluster_variance(code)
-    clusters = list(profile.per_position)
-    doc = {"weight": weight(code), "avg": _frac(avg), "var": _frac(var),
-           "clusters": clusters}
-    _emit_doc(args, out, doc,
-              [f"weight: {doc['weight']}",
-               f"clusters: {' '.join(map(str, clusters))}",
-               f"avg: {doc['avg']}",
-               f"var: {doc['var']}"],
-              ["weight", "avg", "var", "clusters"],
-              [[doc["weight"], doc["avg"], doc["var"],
-                " ".join(map(str, clusters))]])
-    return EXIT_OK
+    clusters = list(cluster_profile(code).per_position)
+    w, avg, var = weight(code), _frac(cluster_average(code)), _frac(cluster_variance(code))
+    spaced = " ".join(map(str, clusters))
+    return Doc({"weight": w, "avg": avg, "var": var, "clusters": clusters},
+               [f"weight: {w}", f"clusters: {spaced}", f"avg: {avg}", f"var: {var}"],
+               ["weight", "avg", "var", "clusters"], [[w, avg, var, spaced]])
 
 
-def _cmd_expand(args, out: _Writer) -> int:
+def _cmd_expand(args) -> Doc | int:
     from .expansion import (Expansion, decode_expansion, encode_expansion,
                             expand_recursive, flatten_products, pure_fibonacci,
                             tree_to_jsonable, tree_value)
@@ -218,18 +204,15 @@ def _cmd_expand(args, out: _Writer) -> int:
         print("error: expand needs either a code or --inverse A B K",
               file=sys.stderr)
         return EXIT_USAGE
+    header = ["code", "a", "b", "k", "value"]
     if args.inverse is not None:
-        a, b, k = args.inverse
-        e = Expansion(a, b, k)
+        e = Expansion(*args.inverse)
         code = decode_expansion(e)
-        doc = {"a": e.a, "b": e.b, "k": e.k, "code": code, "value": e.value()}
-        _emit_doc(args, out, doc,
-                  [f"code: {code}",
-                   f"expansion: {e.a}*F({e.k}) + {e.b}*F({e.k + 2})",
-                   f"value: {e.value()}"],
-                  ["code", "a", "b", "k", "value"],
-                  [[code, e.a, e.b, e.k, e.value()]])
-        return EXIT_OK
+        return Doc({"a": e.a, "b": e.b, "k": e.k, "code": code, "value": e.value()},
+                   [f"code: {code}",
+                    f"expansion: {e.a}*F({e.k}) + {e.b}*F({e.k + 2})",
+                    f"value: {e.value()}"],
+                   header, [[code, e.a, e.b, e.k, e.value()]])
 
     code = as_code(args.code)
     if not code:
@@ -237,10 +220,8 @@ def _cmd_expand(args, out: _Writer) -> int:
     if "0" not in code:
         val = pure_fibonacci(code)
         doc = {"code": code, "fibonacci_index": len(code) + 4, "value": val}
-        text = [f"code: {code}",
-                f"expansion: F({len(code) + 4})",
-                f"value: {val}"]
-        csv_row = [code, "", "", "", val]
+        text = [f"code: {code}", f"expansion: F({len(code) + 4})", f"value: {val}"]
+        row = [code, "", "", "", val]
     else:
         e = encode_expansion(code)
         doc = {"code": code, "a": e.a, "b": e.b, "k": e.k, "value": e.value()}
@@ -248,7 +229,7 @@ def _cmd_expand(args, out: _Writer) -> int:
                 f"expansion: {e.a}*F({e.k}) + {e.b}*F({e.k + 2})",
                 f"a: {e.a}", f"b: {e.b}", f"k: {e.k}",
                 f"value: {e.value()}"]
-        csv_row = [code, e.a, e.b, e.k, e.value()]
+        row = [code, e.a, e.b, e.k, e.value()]
     if args.recursive:
         tree = expand_recursive(code)
         products = [list(t) for t in flatten_products(tree)]
@@ -258,104 +239,79 @@ def _cmd_expand(args, out: _Writer) -> int:
         text.append(f"tree: {_dumps(doc['tree'])}")
         text.append("products: " + " + ".join(
             "*".join(f"F({i})" for i in t) for t in products))
-    _emit_doc(args, out, doc, text, ["code", "a", "b", "k", "value"], [csv_row])
-    return EXIT_OK
+    return Doc(doc, text, header, [row])
 
 
-def _cmd_sb_frac(args, out: _Writer) -> int:
+def _cmd_sb_frac(args) -> Doc:
     from .sternbrocot import u, v
 
     code = as_code(args.code)
-    uq, vq = u(code), v(code)
-    doc = {"code": code, "u": _frac(uq), "v": _frac(vq)}
-    _emit_doc(args, out, doc,
-              [f"u: {doc['u']}", f"v: {doc['v']}"],
-              ["code", "u", "v"],
-              [[code, doc["u"], doc["v"]]])
-    return EXIT_OK
+    uq, vq = _frac(u(code)), _frac(v(code))
+    return Doc({"code": code, "u": uq, "v": vq}, [f"u: {uq}", f"v: {vq}"],
+               ["code", "u", "v"], [[code, uq, vq]])
 
 
-def _cmd_sb_check(args, out: _Writer) -> int:
+def _cmd_sb_check(args) -> Stream:
     from .sternbrocot import check_generation
 
     _check_cap(args, "--depth", args.depth)
-    done = _stopwatch(f"sb check depth {args.depth}")
-    items, bad = [], 0
-    for c in range(1, args.depth + 1):
-        verdict = check_generation(c)
-        items.append({"length": verdict.length, "equal": verdict.equal,
-                      "state_side": verdict.state_side,
-                      "path_side": verdict.path_side})
-        bad += 0 if verdict.equal else 1
+    verdicts = [check_generation(c)._asdict() for c in range(1, args.depth + 1)]
+    bad = sum(not it["equal"] for it in verdicts)
     scope = f"sb-check:depth={args.depth}"
-    _emit_stream(args, out, items,
-                 lambda n: _scan_summary(scope, args.depth, bad),
-                 lambda it: (f"c={it['length']}: equal={it['equal']} "
-                             f"({it['state_side']} fractions)"),
-                 ["length", "equal", "state_side", "path_side"],
-                 lambda it: [it["length"], it["equal"],
-                             it["state_side"], it["path_side"]],
-                 lambda n: f"checked {args.depth} generations, {bad} violations")
-    done()
-    return EXIT_FINDINGS if bad else EXIT_OK
+    header = ["length", "equal", "state_side", "path_side"]
+    return Stream(verdicts, header, itemgetter(*header),
+                  "c={length}: equal={equal} ({state_side} fractions)".format_map,
+                  lambda n: (_scan_summary(scope, args.depth, bad),
+                             f"checked {args.depth} generations, {bad} violations",
+                             bad > 0),
+                  f"sb check depth {args.depth}")
 
 
-def _cmd_scan_reflection(args, out: _Writer) -> int:
+def _cmd_scan_reflection(args) -> Stream:
     from .scans import scan_reflection
 
     _check_cap(args, "--max-len", args.max_len)
-    done = _stopwatch(f"scan reflection max-len {args.max_len}")
-    report = scan_reflection(args.max_len, jobs=args.jobs)
+    report = scan_reflection(args.max_len)
     scope = f"reflection:max-len={args.max_len}"
-    _emit_stream(args, out, report.violations,
-                 lambda n: _scan_summary(scope, report.checked, n),
-                 lambda it: (f"len {it['length']}: {it['code']} -> {it['value']} "
-                             f"but {it['reflected']} -> {it['reflected_value']}"),
-                 ["length", "code", "reflected", "value", "reflected_value"],
-                 lambda it: [it["length"], it["code"], it["reflected"],
-                             it["value"], it["reflected_value"]],
-                 lambda n: f"checked {report.checked} codes, {n} violations")
-    done()
-    return EXIT_FINDINGS if report.violations else EXIT_OK
+    header = ["length", "code", "reflected", "value", "reflected_value"]
+    return Stream(report.violations, header, itemgetter(*header),
+                  "len {length}: {code} -> {value} but {reflected} -> "
+                  "{reflected_value}".format_map,
+                  lambda n: (_scan_summary(scope, report.checked, n),
+                             f"checked {report.checked} codes, {n} violations",
+                             n > 0),
+                  f"scan reflection max-len {args.max_len}")
 
 
-def _cmd_scan_conjecture(args, out: _Writer) -> int:
+def _cmd_scan_conjecture(args) -> Stream:
     from math import comb
 
     from .scans import iter_conjecture_violations
 
     _check_cap(args, "--len", args.length)
-    done = _stopwatch(f"scan conjecture len {args.length}")
     if args.weight is not None:
         checked = comb(args.length, args.weight) if args.weight <= args.length else 0
         scope = f"conjecture:len={args.length}:weight={args.weight}"
     else:
         checked = 1 << args.length
         scope = f"conjecture:len={args.length}"
-    pairs = iter_conjecture_violations(args.length, weight_filter=args.weight,
-                                       jobs=args.jobs)
-    count = _emit_stream(
-        args, out, pairs,
-        lambda n: _scan_summary(scope, checked, n),
-        lambda it: (f"len {it['length']} weight {it['weight']}: "
-                    f"var {it['low_var']} value {it['low_var_value']} vs "
-                    f"var {it['high_var']} value {it['high_var_value']} "
-                    f"(codes {it['low_var_code']}, {it['high_var_code']})"),
-        ["length", "weight", "low_var_code", "high_var_code",
-         "low_var", "high_var", "low_var_value", "high_var_value"],
-        lambda it: [it["length"], it["weight"], it["low_var_code"],
-                    it["high_var_code"], it["low_var"], it["high_var"],
-                    it["low_var_value"], it["high_var_value"]],
-        lambda n: f"checked {checked} codes, {n} counterexample pairs")
-    done()
-    return EXIT_FINDINGS if count else EXIT_OK
+    header = ["length", "weight", "low_var_code", "high_var_code",
+              "low_var", "high_var", "low_var_value", "high_var_value"]
+    return Stream(iter_conjecture_violations(args.length, weight_filter=args.weight),
+                  header, itemgetter(*header),
+                  "len {length} weight {weight}: var {low_var} value {low_var_value} "
+                  "vs var {high_var} value {high_var_value} "
+                  "(codes {low_var_code}, {high_var_code})".format_map,
+                  lambda n: (_scan_summary(scope, checked, n),
+                             f"checked {checked} codes, {n} counterexample pairs",
+                             n > 0),
+                  f"scan conjecture len {args.length}")
 
 
-def _cmd_scan_converse(args, out: _Writer) -> int:
+def _cmd_scan_converse(args) -> Stream:
     from .scans import iter_converse_classes
 
     _check_cap(args, "--len", args.length)
-    done = _stopwatch(f"scan converse len {args.length}")
     classes = iter_converse_classes(args.length)
     flagged = 0
 
@@ -365,103 +321,86 @@ def _cmd_scan_converse(args, out: _Writer) -> int:
             flagged += cls.beyond_reflection
             yield cls.to_jsonable()
 
+    checked = 1 << args.length
     scope = f"converse:len={args.length}"
-    _emit_stream(args, out, records(),
-                 lambda n: _scan_summary(scope, 1 << args.length, flagged,
-                                         classes=n),
-                 lambda it: (f"value {it['value']}: {' '.join(it['codes'])}"
-                             + (" [beyond reflection]"
-                                if it["beyond_reflection"] else "")),
-                 ["value", "codes", "beyond_reflection"],
-                 lambda it: [it["value"], " ".join(it["codes"]),
-                             it["beyond_reflection"]],
-                 lambda n: (f"checked {1 << args.length} codes, {n} "
-                            f"shared-value classes, {flagged} beyond reflection"))
-    done()
-    return EXIT_FINDINGS if flagged else EXIT_OK
+    return Stream(records(), ["value", "codes", "beyond_reflection"],
+                  lambda it: [it["value"], " ".join(it["codes"]),
+                              it["beyond_reflection"]],
+                  lambda it: (f"value {it['value']}: {' '.join(it['codes'])}"
+                              + (" [beyond reflection]"
+                                 if it["beyond_reflection"] else "")),
+                  lambda n: (_scan_summary(scope, checked, flagged, classes=n),
+                             f"checked {checked} codes, {n} shared-value "
+                             f"classes, {flagged} beyond reflection",
+                             flagged > 0),
+                  f"scan converse len {args.length}")
 
 
-def _cmd_scan_roots(args, out: _Writer) -> int:
+def _cmd_scan_roots(args) -> Stream:
     from .scans import scan_roots
 
     _check_cap(args, "--depth", args.depth)
-    done = _stopwatch(f"scan roots max-entry {args.max_entry} depth {args.depth}")
     report = scan_roots(args.max_entry, args.depth)
-    items = [{"root": list(s)} for s in report.survivors]
-    _emit_stream(args, out, items,
-                 lambda n: report.to_jsonable(),
-                 lambda it: "root {} {} {}".format(*it["root"]),
-                 ["a", "b", "c"],
-                 lambda it: list(it["root"]),
-                 lambda n: f"checked {report.checked} roots, {n} survivors")
-    done()
-    return EXIT_OK
+    survivors = [list(s) for s in report.survivors]
+    summary = {"scope": report.scope, "checked": report.checked,
+               "survivors": survivors, "elapsed_ms": None}
+    return Stream([{"root": s} for s in survivors], ["a", "b", "c"],
+                  itemgetter("root"), "root {root[0]} {root[1]} {root[2]}".format_map,
+                  lambda n: (summary, f"checked {report.checked} roots, {n} survivors",
+                             False),
+                  f"scan roots max-entry {args.max_entry} depth {args.depth}")
 
 
-def _cmd_scan_blocks(args, out: _Writer) -> int:
+def _cmd_scan_blocks(args) -> Stream:
     from .scans import check_block_alternating
 
     _check_cap(args, "--max-j", args.max_j)
     if args.max_j < 2:
         raise DomainError("--max-j must be >= 2")
-    done = _stopwatch(f"scan blocks max-j {args.max_j}")
     items = [check_block_alternating(j).to_jsonable()
              for j in range(2, args.max_j + 1)]
-    bad = sum(1 for it in items if not it["ok"])
+    bad = sum(not it["ok"] for it in items)
     scope = f"blocks:max-j={args.max_j}"
-    _emit_stream(args, out, items,
-                 lambda n: _scan_summary(scope, len(items), bad),
-                 lambda it: (f"j={it['j']}: block {it['block']} "
-                             f"(reflected {it['block_reflected']}), alternating "
-                             f"{it['alternating']} (reflected "
-                             f"{it['alternating_reflected']}), ok={it['ok']}"),
-                 ["j", "block", "block_reflected", "alternating",
-                  "alternating_reflected", "ok"],
-                 lambda it: [it["j"], it["block"], it["block_reflected"],
-                             it["alternating"], it["alternating_reflected"],
-                             it["ok"]],
-                 lambda n: f"checked {len(items)} block sizes, {bad} violations")
-    done()
-    return EXIT_FINDINGS if bad else EXIT_OK
+    header = ["j", "block", "block_reflected", "alternating",
+              "alternating_reflected", "ok"]
+    return Stream(items, header, itemgetter(*header),
+                  "j={j}: block {block} (reflected {block_reflected}), alternating "
+                  "{alternating} (reflected {alternating_reflected}), ok={ok}".format_map,
+                  lambda n: (_scan_summary(scope, n, bad),
+                             f"checked {n} block sizes, {bad} violations", bad > 0),
+                  f"scan blocks max-j {args.max_j}")
 
 
-def _cmd_hat_simulate(args, out: _Writer) -> int:
+def _cmd_hat_simulate(args) -> Doc:
     from .threehat import dialogue_simulate
 
     transcript = dialogue_simulate((args.a, args.b, args.c))
-    doc = transcript.to_jsonable()
-    lines = []
-    for rec in transcript.turns:
-        if rec.action == "announce":
-            lines.append(f"turn {rec.turn}: {rec.player} announces {rec.value}")
-        else:
-            lines.append(f"turn {rec.turn}: {rec.player} passes")
+    lines = [f"turn {r.turn}: {r.player} announces {r.value}"
+             if r.action == "announce" else f"turn {r.turn}: {r.player} passes"
+             for r in transcript.turns]
     lines.append(f"result: {transcript.announcer} announces {transcript.value} "
                  f"at turn {transcript.turn} (round {transcript.round})")
-    _emit_doc(args, out, doc, lines,
-              ["turn", "player", "action", "value"],
-              [[r.turn, r.player, r.action, "" if r.value is None else r.value]
-               for r in transcript.turns])
-    return EXIT_OK
+    return Doc(transcript.to_jsonable(), lines,
+               ["turn", "player", "action", "value"],
+               [[r.turn, r.player, r.action, "" if r.value is None else r.value]
+                for r in transcript.turns])
 
 
-def _cmd_hat_chain(args, out: _Writer) -> int:
+def _cmd_hat_chain(args) -> Doc:
     from .threehat import chain
 
     cfg = (args.a, args.b, args.c)
     full = chain(cfg, abbreviated=False)
     length = max(len(full) - 1, 1)
     links = full if args.full else full[:length]
-    doc = {"config": list(cfg), "abbreviated": not args.full,
-           "chain": [list(s) for s in links], "length": length}
-    _emit_doc(args, out, doc,
-              [f"{s[0]} {s[1]} {s[2]}" for s in links] + [f"length: {length}"],
-              ["index", "a", "b", "c"],
-              [[i, s[0], s[1], s[2]] for i, s in enumerate(links)])
-    return EXIT_OK
+    return Doc({"config": list(cfg), "abbreviated": not args.full,
+                "chain": [list(s) for s in links], "length": length},
+               ["{} {} {}".format(*s) for s in links] + [f"length: {length}"],
+               ["index", "a", "b", "c"],
+               [[i, *s] for i, s in enumerate(links)])
 
 
-def _cmd_hat_solve(args, out: _Writer) -> int:
+def _cmd_hat_solve(args) -> Doc:
     from .threehat import PuzzleQuery, brute_solve, is_base, solve_puzzle
 
     query = PuzzleQuery(args.solver, args.rounds, args.value)
@@ -474,8 +413,7 @@ def _cmd_hat_solve(args, out: _Writer) -> int:
                  or "(none)"),
              "excluded: " + " ".join(
                  f"{k}={n}" for k, n in result.criteria.excluded.items())]
-    csv_rows = [[*s.config, s.announcer, s.round, s.turn]
-                for s in result.solutions]
+    rows = [[*s.config, s.announcer, s.round, s.turn] for s in result.solutions]
     if result.solutions:
         lines.append("solutions:")
         lines.extend(f"  ({s.config[0]}, {s.config[1]}, {s.config[2]}): "
@@ -495,11 +433,8 @@ def _cmd_hat_solve(args, out: _Writer) -> int:
         lines.extend("  extra ({}, {}, {}){}".format(
             *s.config, " [base]" if is_base(s.config) else "")
             for s in extra)
-        csv_rows.extend([*s.config, s.announcer, s.round, s.turn]
-                        for s in extra)
-    _emit_doc(args, out, doc, lines,
-              ["wa", "wb", "wc", "announcer", "round", "turn"], csv_rows)
-    return EXIT_OK
+        rows.extend([*s.config, s.announcer, s.round, s.turn] for s in extra)
+    return Doc(doc, lines, ["wa", "wb", "wc", "announcer", "round", "turn"], rows)
 
 
 # --------------------------------------------------------------- parser
@@ -632,14 +567,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; 0 is --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    out = _Writer(args.out)
+    t0 = time.perf_counter()
     try:
-        return args.func(args, out)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        if args.out:
+            # opened only now, so a command that fails leaves the file alone
+            with open(args.out, "w", encoding="utf-8", newline="") as out:
+                found = _render(result, args.format, out)
+        else:
+            found = _render(result, args.format, sys.stdout)
     except (DomainError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    finally:
-        out.close()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to
+        # devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(result, Stream):
+        ms = (time.perf_counter() - t0) * 1000.0
+        print(f"{result.stopwatch}: {ms:.1f} ms", file=sys.stderr)
+    return EXIT_FINDINGS if found else EXIT_OK
 
 
 if __name__ == "__main__":

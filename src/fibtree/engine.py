@@ -39,6 +39,7 @@ def as_code(text: str) -> str:
 
 
 def as_state(triple) -> State:
+    """Validate a state; roots are states, accepted unordered, e.g. (2, 1, 3)."""
     try:
         a, b, c = triple
     except (TypeError, ValueError):
@@ -53,11 +54,6 @@ def as_state(triple) -> State:
     return (a, b, c)
 
 
-def as_root(triple) -> State:
-    # Generalized roots are accepted unordered, e.g. (2, 1, 3).
-    return as_state(triple)
-
-
 def apply_step(s: State, bit: int) -> State:
     """One transform applied to a raw triple (no reordering)."""
     a, b, c = as_state(s)
@@ -70,7 +66,7 @@ def apply_step(s: State, bit: int) -> State:
 
 def evaluate(code: str, root: State = ROOT) -> State:
     """Fold the code over the root, left to right."""
-    a, b, c = as_root(root)
+    a, b, c = as_state(root)
     for ch in as_code(code):
         if ch == "0":
             a, b = a, c
@@ -86,7 +82,7 @@ def value(code: str, root: State = ROOT) -> int:
 
 def trace(code: str, root: State = ROOT) -> list[State]:
     """All intermediate states, root first; length is len(code) + 1."""
-    a, b, c = as_root(root)
+    a, b, c = as_state(root)
     out = [(a, b, c)]
     for ch in as_code(code):
         if ch == "0":
@@ -173,7 +169,7 @@ def level_rows(max_len: int,
     """
     if max_len < 0:
         raise DomainError("max_len must be >= 0")
-    a, b, _ = as_root(root)
+    a, b, _ = as_state(root)
     return _rows(max_len, a, b)
 
 

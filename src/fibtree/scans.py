@@ -20,11 +20,12 @@ built only to write violation records.  The converse scan streams its
 classes from the same split: each head's block of tail values is grouped
 straight into per-value arrays of code indices, about 20 bytes per code,
 and names are spelled only for the classes it yields.  The conjecture
-scan stays O(2**L) in time and memory.
+scan holds one entry per code, O(2**L) memory, but its time grows with
+the pairs it writes, not with the codes: 3,297,051 pairs at length 14
+against 16,384 codes.  Each weight class also pays a quadratic insort.
 
 Scans run in one process and are deterministic: the same parameters
-produce the same report, and the jobs arguments are accepted for
-compatibility and select nothing.  Wall-clock timing is kept out of the
+produce the same report.  Wall-clock timing is kept out of the
 serialized payload so that re-runs compare byte-identical.
 """
 
@@ -49,20 +50,6 @@ class ScanReport(NamedTuple):
     scope: str
     checked: int
     violations: list
-    # set only when the violations list was truncated to a cap
-    violations_total: int | None = None
-
-    def to_jsonable(self) -> dict:
-        # elapsed is intentionally nulled: payloads must be reproducible
-        out = {
-            "scope": self.scope,
-            "checked": self.checked,
-            "violations": self.violations,
-            "elapsed_ms": None,
-        }
-        if self.violations_total is not None:
-            out["violations_total"] = self.violations_total
-        return out
 
 
 class ValueClass(NamedTuple):
@@ -108,14 +95,6 @@ class RootScanReport(NamedTuple):
     scope: str
     checked: int
     survivors: list[State]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "scope": self.scope,
-            "checked": self.checked,
-            "survivors": [list(s) for s in self.survivors],
-            "elapsed_ms": None,
-        }
 
 
 # ------------------------------------------------------- value tables
@@ -211,14 +190,13 @@ def _coprime_pairs(n: int) -> int:
 
 # ------------------------------------------------------------ the scans
 
-def scan_reflection(max_len: int, jobs: int = 1) -> ScanReport:
+def scan_reflection(max_len: int) -> ScanReport:
     """Check value(t) == value(reflect(t)) for every code of length <= max_len.
 
     Each length L is certified from the split levels of lengths ceil(L/2)
     and floor(L/2), in O(2**(L/2)) time and memory.  Only when a length
     fails are the rows of every code built, up to the last failing
-    length, to write the violation records.  jobs is accepted for
-    compatibility and selects nothing.
+    length, to write the violation records.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -290,12 +268,11 @@ def _converse_classes(length: int):
         yield ValueClass(val, texts, beyond)
 
 
-def scan_converse(length: int, jobs: int = 1) -> list[ValueClass]:
+def scan_converse(length: int) -> list[ValueClass]:
     """The classes of iter_converse_classes, as a list.
 
     The grouping streams from the head/tail split at about 20 bytes per
-    code; the list then holds the names of every code in a class.  jobs
-    is accepted for compatibility and selects nothing.
+    code; the list then holds the names of every code in a class.
     """
     return list(iter_converse_classes(length))
 
@@ -313,8 +290,7 @@ def check_block_alternating(j: int) -> BlockAlternatingVerdict:
     )
 
 
-def iter_conjecture_violations(length: int, weight_filter: int | None = None,
-                               jobs: int = 1):
+def iter_conjecture_violations(length: int, weight_filter: int | None = None):
     """Every pair of equal-length, equal-weight codes where the strictly
     smaller cluster variance does not come with a strictly larger value.
 
@@ -322,8 +298,7 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None,
     (weight ascending, then the higher-variance code by (value, code),
     then its lower-variance partners by (value, code)), so results can be
     streamed and compared byte for byte across runs.  The pair count can
-    be in the millions at length 14, hence a generator.  jobs is accepted
-    for compatibility and selects nothing.
+    be in the millions at length 14, hence a generator.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
@@ -368,29 +343,18 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None,
             start = end
 
 
-def scan_conjecture(length: int, weight_filter: int | None = None,
-                    jobs: int = 1,
-                    violation_cap: int | None = None) -> ScanReport:
-    """Report form of iter_conjecture_violations.
-
-    violation_cap bounds how many pairs are kept in the report (the full
-    count still lands in violations_total); None keeps every pair, which
+def scan_conjecture(length: int, weight_filter: int | None = None) -> ScanReport:
+    """Report form of iter_conjecture_violations: it keeps every pair, which
     is fine up to length 12 or so but runs to millions of pairs beyond.
     """
-    violations: list[dict] = []
-    total = 0
-    for pair in iter_conjecture_violations(length, weight_filter, jobs):
-        total += 1
-        if violation_cap is None or len(violations) < violation_cap:
-            violations.append(pair)
+    violations = list(iter_conjecture_violations(length, weight_filter))
     checked = 1 << length
     if weight_filter is not None:
         checked = comb(length, weight_filter) if weight_filter >= 0 else 0
     scope = f"codes of length {length}"
     if weight_filter is not None:
         scope += f" with weight {weight_filter}"
-    return ScanReport(scope, checked, violations,
-                      total if total != len(violations) else None)
+    return ScanReport(scope, checked, violations)
 
 
 def _root_gram(depth: int) -> list[list[int]]:

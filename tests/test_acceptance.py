@@ -105,7 +105,7 @@ def test_criterion_03_variance_spot_values(code, recorded):
 
 def test_criterion_04_reflection_scan_to_length_18():
     t0 = time.perf_counter()
-    report = scan_reflection(18, jobs=4)
+    report = scan_reflection(18)
     elapsed = time.perf_counter() - t0
     ok = (report.violations == []
           and report.checked == 2 ** 19 - 2

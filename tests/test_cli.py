@@ -250,6 +250,27 @@ def test_out_redirects_payload_to_file(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+@pytest.mark.parametrize("target", ["missing/x", "."])
+def test_out_that_cannot_be_opened_is_one_error_line(capsys, tmp_path, target):
+    rc, out, err = run(capsys, "eval", "0101", "--out", str(tmp_path / target))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "012"),
+    ("scan", "reflection", "--max-len", "31", "--format", "json"),
+])
+def test_failed_command_leaves_out_file_alone(capsys, tmp_path, argv):
+    target = tmp_path / "results.json"
+    target.write_bytes(b'{"kept":true}\n')
+    rc, _, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert err.startswith("error:")
+    assert target.read_bytes() == b'{"kept":true}\n'
+
+
 # ------------------------------------------------------------------ hats
 
 def test_hat_simulate_json(capsys):
@@ -658,12 +679,15 @@ def test_scan_output_matches_golden_digest(capsys, command, fmt, code, digest,
 # what a command loads, and whether the lazy package resolves a name on
 # its own, shows only in a new interpreter.
 
-def _child(*args):
+def _child_env():
     src = str(Path(fibtree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _child(*args):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_child_env(), timeout=120)
 
 
 # Prints the modules that a bare `import fibtree`, or one command given
@@ -732,6 +756,18 @@ def test_every_command_runs_in_a_fresh_process(capsys, command):
     rc, out, _ = run(capsys, *command.split())
     proc = _child("-m", "fibtree", *command.split())
     assert (proc.returncode, proc.stdout) == (rc, out), proc.stderr
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader takes one line of a long scan and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "fibtree", "scan", "conjecture",
+                             "--len", "12"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.readline().startswith(b"len 12 weight 2:")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 PUBLIC_NAMES = """

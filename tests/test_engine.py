@@ -9,7 +9,6 @@ from fibtree import (
     DomainError,
     apply_step,
     as_code,
-    as_root,
     as_state,
     decode_state,
     enumerate_codes,
@@ -258,7 +257,7 @@ def test_code_validation_names_the_first_bad_symbol(bits, bad, tail, where):
 
 def test_state_validation():
     assert as_state((1, 2, 3)) == (1, 2, 3)
-    assert as_root((2, 1, 3)) == (2, 1, 3)
+    assert as_state((2, 1, 3)) == (2, 1, 3)
     with pytest.raises(DomainError):
         as_state((0, 2, 2))
     with pytest.raises(DomainError):
@@ -269,7 +268,8 @@ def test_state_validation():
 
 STATE_CHECKS = {
     "as_state": as_state,
-    "as_root": as_root,
+    # roots are states: as_state is the one check, as_root was folded into it
+    "as_root": as_state,
     "evaluate": lambda triple: evaluate("01", triple),
     "level_rows": lambda triple: level_rows(2, triple),
 }

@@ -42,7 +42,6 @@ def test_reflection_scan_is_clean():
     report = scan_reflection(10)
     assert report.checked == 2 ** 11 - 2
     assert report.violations == []
-    assert report.to_jsonable()["elapsed_ms"] is None
 
 
 def test_reflection_scan_reports_each_violation(monkeypatch):
@@ -108,11 +107,6 @@ def test_reflection_scan_memory_grows_with_half_the_length():
     assert report.violations == []
     assert report.checked == 2 ** 27 - 2
     assert peak < 32 * 2 ** 20
-
-
-def test_reflection_scan_ignores_parallelism():
-    a, b = scan_reflection(12, jobs=1), scan_reflection(12, jobs=3)
-    assert (a.checked, a.violations) == (b.checked, b.violations)
 
 
 # ----------------------------------------------------------- converse
@@ -230,22 +224,6 @@ def test_conjecture_weight_filter():
     assert report.checked == 10
     assert len(report.violations) == 2
     assert scan_conjecture(5, weight_filter=1).violations == []
-
-
-def test_conjecture_violation_cap():
-    full = scan_conjecture(6)
-    assert len(full.violations) == 30
-    assert full.violations_total is None
-    capped = scan_conjecture(6, violation_cap=5)
-    assert len(capped.violations) == 5
-    assert capped.violations_total == 30
-    assert capped.violations == full.violations[:5]
-    assert capped.to_jsonable()["violations_total"] == 30
-
-
-def test_conjecture_stream_ignores_parallelism():
-    assert list(iter_conjecture_violations(8, jobs=2)) == \
-        list(iter_conjecture_violations(8, jobs=1))
 
 
 def test_conjecture_rejects_bad_length():
