@@ -19,7 +19,8 @@ runs, so a process loads only what its command needs.
 
 Exit codes: 0 success, 1 usage error (including an --out path that
 cannot be written, or a reader that closed the output pipe early), 2
-domain error (invalid code, state, configuration or expansion), 3 scan
+domain error (invalid code, state, configuration or expansion, or a
+result whose decimal digits pass the interpreter's limit), 3 scan
 completed and found violations or counterexamples.
 """
 
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -49,11 +51,15 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class Doc(NamedTuple):
-    """A whole result: the JSON object, the text lines and the CSV table."""
+    """A whole result: the JSON object, the text lines and the CSV table.
+
+    _render reads text or rows once, for the format asked, so a command
+    with a long payload passes generators and builds only that one.
+    """
     json: dict
-    text: list[str]
+    text: Iterable[str]
     header: list[str]
-    rows: list
+    rows: Iterable
 
 
 class Stream(NamedTuple):
@@ -375,29 +381,29 @@ def _cmd_hat_simulate(args) -> Doc:
     from .threehat import dialogue_simulate
 
     transcript = dialogue_simulate((args.a, args.b, args.c))
-    lines = [f"turn {r.turn}: {r.player} announces {r.value}"
-             if r.action == "announce" else f"turn {r.turn}: {r.player} passes"
-             for r in transcript.turns]
-    lines.append(f"result: {transcript.announcer} announces {transcript.value} "
-                 f"at turn {transcript.turn} (round {transcript.round})")
+    lines = chain((f"turn {r.turn}: {r.player} announces {r.value}"
+                   if r.action == "announce" else f"turn {r.turn}: {r.player} passes"
+                   for r in transcript.turns),
+                  [f"result: {transcript.announcer} announces {transcript.value} "
+                   f"at turn {transcript.turn} (round {transcript.round})"])
     return Doc(transcript.to_jsonable(), lines,
                ["turn", "player", "action", "value"],
-               [[r.turn, r.player, r.action, "" if r.value is None else r.value]
-                for r in transcript.turns])
+               ([r.turn, r.player, r.action, "" if r.value is None else r.value]
+                for r in transcript.turns))
 
 
 def _cmd_hat_chain(args) -> Doc:
-    from .threehat import chain
+    from .threehat import chain as sigma_chain
 
     cfg = (args.a, args.b, args.c)
-    full = chain(cfg, abbreviated=False)
+    full = sigma_chain(cfg, abbreviated=False)
     length = max(len(full) - 1, 1)
     links = full if args.full else full[:length]
     return Doc({"config": list(cfg), "abbreviated": not args.full,
                 "chain": [list(s) for s in links], "length": length},
-               ["{} {} {}".format(*s) for s in links] + [f"length: {length}"],
+               chain(("{} {} {}".format(*s) for s in links), [f"length: {length}"]),
                ["index", "a", "b", "c"],
-               [[i, *s] for i, s in enumerate(links)])
+               ([i, *s] for i, s in enumerate(links)))
 
 
 def _cmd_hat_solve(args) -> Doc:
@@ -580,6 +586,16 @@ def main(argv=None) -> int:
             found = _render(result, args.format, sys.stdout)
     except (DomainError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits(); the commands
+        # that can meet one spell their text lines before --out is opened.
+        # The limit stays: lifting it makes decimal output quadratic in time.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result has more than {sys.get_int_max_str_digits()} "
+              "decimal digits, the interpreter's limit for integer output",
+              file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered to

@@ -17,12 +17,14 @@ scan reads its survivors off the kernel of one 2x2 Gram matrix and
 counts the coprime roots with a totient sieve, in
 O(max_entry log log max_entry + 2**depth).  Rows of every code are
 built only to write violation records.  The converse scan streams its
-classes from the same split: each head's block of tail values is grouped
-straight into per-value arrays of code indices, about 20 bytes per code,
-and names are spelled only for the classes it yields.  The conjecture
-scan holds one entry per code, O(2**L) memory, but its time grows with
-the pairs it writes, not with the codes: 3,297,051 pairs at length 14
-against 16,384 codes.  Each weight class also pays a quadratic insort.
+classes from the same split: it groups only the codes that are not
+larger than their reflections, a suffix of each head's block of tail
+values, into per-value arrays of code indices, about 13 bytes per code
+at length 16, and spells names only for the classes it yields.  The
+conjecture scan holds one entry per code, O(2**L) memory, but its time
+grows with the pairs it writes, not with the codes: 3,297,051 pairs at
+length 14 against 16,384 codes.  Each weight class also pays a quadratic
+insort.
 
 Scans run in one process and are deterministic: the same parameters
 produce the same report.  Wall-clock timing is kept out of the
@@ -35,7 +37,7 @@ from array import array
 from bisect import bisect_right, insort
 from collections import defaultdict, deque
 from functools import partial
-from itertools import count, repeat
+from itertools import repeat
 from math import comb, gcd
 from operator import add, and_, mul, rshift, sub
 from typing import NamedTuple
@@ -232,12 +234,20 @@ def iter_converse_classes(length: int):
     mutual reflections, which is exactly a counterexample to the converse
     of the reflection principle at this length.  Each code is split as
     t = h||l with |h| = ceil(L/2), and its value a_h*P_l + b_h*Q_l comes
-    from half-length rows.  Each head's block of tail values is grouped
-    straight into per-value arrays of code indices, which therefore rise
-    within a class; no full-length row is built.  A class's names are
-    spelled from the head and tail names when it is yielded, and its
-    array is dropped then.  Memory is about 20 bytes per code.  length is
-    checked at the call, before the first class.
+    from half-length rows; no full-length row is built.  Reflection keeps
+    the value (scan_reflection certifies it), so each class is closed
+    under reflection and only its representatives, the codes with
+    t <= refl(t), are grouped.  Comparing the first |l| bits of t and
+    refl(t) shows that t is one exactly when rev(l) >= h >> (L mod 2), so
+    with the tail rows in bit-reversed order a head's representatives are
+    a suffix of its block, and the grouping touches about half the codes.
+    Their indices go straight into per-value arrays of the narrowest
+    typecode that holds them.  A class's codes are its representatives
+    and their reflections, spelled from the head and tail names when it
+    is yielded, and its array is dropped then.  It is flagged exactly
+    when it has two or more representatives.  Memory is about 13 bytes
+    per code at L = 16 and 7 at L = 20.  length is checked at the call,
+    before the first class.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
@@ -245,34 +255,49 @@ def iter_converse_classes(length: int):
 
 
 def _converse_classes(length: int):
-    low = length // 2
+    low, odd = length // 2, length & 1
     split = _split_levels(length - low)
     a_row, b_row = split[length - low][:2]
-    p, q = split[low][2:4]
-    by_value = defaultdict(partial(array, "Q"))
-    for base, a, b in zip(count(0, 1 << low), a_row, b_row):
-        # the head's block of values, each code index appended to its
-        # value's array without a Python-level step per code
-        block = map(add, map(mul, p, repeat(a)), map(mul, q, repeat(b)))
-        deque(map(array.append, map(by_value.__getitem__, block), count(base)),
-              maxlen=0)
+    p, q, rev = split[low][2:]
+    # tail rows in bit-reversed order: position r holds the tail rev[r],
+    # so a head h's representatives are the positions r >= h >> odd
+    p, q = _permuted(p, rev), _permuted(q, rev)
+    # the narrowest typecode that holds every index below 2**length
+    typecode = next(t for t in "BHIQ" if length <= 8 * array(t).itemsize)
+    by_value = defaultdict(partial(array, typecode))
+    for h, (a, b) in enumerate(zip(a_row, b_row)):
+        # the values of the head's representatives, each code index
+        # appended to its value's array without a Python-level step per code
+        start, base = h >> odd, h << low
+        block = map(add, map(mul, p[start:], repeat(a)), map(mul, q[start:], repeat(b)))
+        deque(map(array.append, map(by_value.__getitem__, block),
+                  map(base.__add__, rev[start:])), maxlen=0)
     heads, tails, mask = _code_strs(length - low), _code_strs(low), (1 << low) - 1
     for val in sorted(by_value):
-        codes = by_value.pop(val)
-        if len(codes) < 2:
+        reps = by_value.pop(val)
+        if len(reps) == 1:
+            # one representative t <= refl(t): the class {t, refl(t)}, or
+            # a single code when t is a palindrome
+            name = heads[reps[0] >> low] + tails[reps[0] & mask]
+            if name != name[::-1]:
+                yield ValueClass(val, (name, name[::-1]), False)
             continue
-        texts = tuple(map(add, map(heads.__getitem__, map(rshift, codes, repeat(low))),
-                          map(tails.__getitem__, map(and_, codes, repeat(mask)))))
-        # only a plain reflection pair {t, refl(t)} stays unflagged
-        beyond = len(texts) > 2 or texts[0][::-1] != texts[1]
-        yield ValueClass(val, texts, beyond)
+        # a class is its representatives and their reflections (a
+        # palindrome is its own); a second representative is neither
+        # equal to nor the reflection of the first, a counterexample to
+        # the converse
+        names = list(map(add, map(heads.__getitem__, map(rshift, reps, repeat(low))),
+                         map(tails.__getitem__, map(and_, reps, repeat(mask)))))
+        names += [mirror for name in names if (mirror := name[::-1]) != name]
+        names.sort()
+        yield ValueClass(val, tuple(names), True)
 
 
 def scan_converse(length: int) -> list[ValueClass]:
     """The classes of iter_converse_classes, as a list.
 
-    The grouping streams from the head/tail split at about 20 bytes per
-    code; the list then holds the names of every code in a class.
+    The grouping streams from the head/tail split at about 13 bytes per
+    code at L = 16; the list then holds the names of every code in a class.
     """
     return list(iter_converse_classes(length))
 

@@ -271,6 +271,25 @@ def test_failed_command_leaves_out_file_alone(capsys, tmp_path, argv):
     assert target.read_bytes() == b'{"kept":true}\n'
 
 
+# eval of 21,000 one bits reaches F(21004), and expand --inverse 1 1 30000
+# a*F(k) + b*F(k+2) with k = 30000: both past Python's default limit of
+# 4300 decimal digits for str() of an int
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [("eval", "1" * 21000),
+                                  ("expand", "--inverse", "1", "1", "30000")],
+                         ids=["eval", "expand-inverse"])
+def test_result_past_the_digit_limit_is_a_domain_error(capsys, tmp_path, argv, fmt):
+    rc, out, err = run(capsys, *argv, "--format", fmt)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: a result has more than {sys.get_int_max_str_digits()} "
+                   "decimal digits, the interpreter's limit for integer output\n")
+    target = tmp_path / "results.json"
+    target.write_bytes(b'{"kept":true}\n')
+    rc, _, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert rc == 2
+    assert target.read_bytes() == b'{"kept":true}\n'
+
+
 # ------------------------------------------------------------------ hats
 
 def test_hat_simulate_json(capsys):
@@ -756,6 +775,27 @@ def test_every_command_runs_in_a_fresh_process(capsys, command):
     rc, out, _ = run(capsys, *command.split())
     proc = _child("-m", "fibtree", *command.split())
     assert (proc.returncode, proc.stdout) == (rc, out), proc.stderr
+
+
+# Runs one command with its payload sent to devnull and prints its exit
+# code and its peak RSS in KB, as ru_maxrss reads on Linux.
+PEAK_RSS = """
+import os, resource, subprocess, sys
+argv = [sys.executable, "-m", "fibtree", *sys.argv[1:], "--out", os.devnull]
+code = subprocess.run(argv).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_hat_simulate_json_builds_no_text_lines_or_rows():
+    # 100,001 turns: building every text line and CSV row as well as the
+    # JSON object peaked at 108 MB, the JSON object alone at about 83 MB
+    proc = _child("-c", PEAK_RSS, "hat", "simulate", "1", "100000", "100001",
+                  "--format", "json")
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kb < 95 * 1024
 
 
 def test_closed_pipe_ends_quietly():

@@ -167,9 +167,10 @@ def test_converse_stream_checks_length_at_the_call():
 
 
 def test_converse_stream_memory_per_code():
-    # the grouped code indices take 8 bytes a code, the per-value arrays
-    # and dict entries the rest; lists of ints and a name for every code
-    # took about 135
+    # only the representatives t <= refl(t), about half the codes, are
+    # grouped, at 4 bytes an index; grouping every code in 8-byte slots
+    # took about 21 bytes a code, and lists of ints and a name for every
+    # code about 135
     tracemalloc.start()
     try:
         for _ in iter_converse_classes(16):
@@ -177,7 +178,7 @@ def test_converse_stream_memory_per_code():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 16
+    assert peak < 16 * 2 ** 16
 
 
 # ---------------------------------------------------- conjecture scans

@@ -1,3 +1,5 @@
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -65,8 +67,99 @@ def test_integer_path_side_matches_fraction_paths():
                  for n in range(1 << c)]
         fractions = {apply_path(word, seed) for word in words
                      for seed in (F(1, 2), F(2, 1))}
-        assert sternbrocot._path_pairs(c) == {(q.numerator, q.denominator)
-                                              for q in fractions}
+        assert set(zip(*sternbrocot._path_rows(c))) == {(q.numerator, q.denominator)
+                                                        for q in fractions}
+
+
+def _set_verdict(c):
+    """check_generation's verdict from sets of pair tuples, built apart from
+    the module: the state side from evaluate, the path side by mapping
+    each pair to its two children."""
+    state = set()
+    for code in enumerate_codes(c):
+        a, b, _ = evaluate(code)
+        state.update(((a, b), (b, a)))
+    path = [(1, 2), (2, 1)]
+    for _ in range(c):
+        path = [child for p, q in path for child in ((p, p + q), (p + q, q))]
+    path = set(path)
+    return (c, state == path, len(state), len(path))
+
+
+def test_packed_keys_give_the_set_verdict():
+    for c in range(1, 15):
+        assert check_generation(c) == _set_verdict(c)
+
+
+def _set_verdict_of_patched(c):
+    """The set verdict of the rows as the module reads them, patched or not."""
+    a, b = sternbrocot.level_row(c)[:2]
+    state = set(zip(a, b)) | set(zip(b, a))
+    path = set(zip(*sternbrocot._path_rows(c)))
+    return (c, state == path, len(state), len(path))
+
+
+def _altered(monkeypatch, side, change):
+    """Patch the rows that one side is read from, passing them through
+    change(p_row, q_row) first."""
+    name = "level_row" if side == "state" else "_path_rows"
+    real = getattr(sternbrocot, name)
+
+    def altered(c):
+        rows = real(c)
+        change(rows[0], rows[1])
+        return rows
+
+    monkeypatch.setattr(sternbrocot, name, altered)
+
+
+@pytest.mark.parametrize("where", [0, 37, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("side", ["state", "path"])
+@pytest.mark.parametrize("new_entry", [lambda x: x + 1, lambda x: 1 << 20],
+                         ids=["plus-one", "past-every-entry"])
+def test_one_changed_entry_breaks_equality(monkeypatch, side, where, new_entry):
+    def change(p_row, q_row):
+        p_row[where] = new_entry(p_row[where])
+
+    _altered(monkeypatch, side, change)
+    verdict = check_generation(6)
+    assert not verdict.equal
+    assert verdict == _set_verdict_of_patched(6)
+
+
+def test_path_entries_wider_than_the_state_side_never_match(monkeypatch):
+    # packed with three bits, these pairs give the keys 7, 11, 13 and 14
+    # that the state pairs (1, 3), (2, 3), (3, 1) and (3, 2) give with two
+    monkeypatch.setattr(sternbrocot, "_path_rows",
+                        lambda c: (array("Q", [0, 1, 1, 1]), array("Q", [7, 3, 5, 6])))
+    assert check_generation(1) == (1, False, 4, 4)
+
+
+@pytest.mark.parametrize("side", ["state", "path"])
+def test_repeated_pair_counts_once(monkeypatch, side):
+    def change(p_row, q_row):
+        p_row[-1], q_row[-1] = p_row[0], q_row[0]
+
+    _altered(monkeypatch, side, change)
+    verdict = check_generation(6)
+    assert not verdict.equal
+    assert verdict == _set_verdict_of_patched(6)
+    # each side has 2**7 distinct pairs; a state row entry stands in two
+    # of them, (a, b) and (b, a)
+    lost = 2 if side == "state" else 1
+    assert verdict.state_side + verdict.path_side == 2 * 2 ** 7 - lost
+
+
+def test_check_generation_memory():
+    # sets of pair tuples peaked at 38.9 MB here; the sorted key list of
+    # one side now sets the peak
+    tracemalloc.start()
+    try:
+        assert check_generation(16).equal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @given(codes)
