@@ -49,9 +49,8 @@ _EXPORTS = {
         "PuzzleQuery", "Solution", "SolveResult", "Transcript", "TurnRecord",
         "apply_criteria", "bounds", "brute_solve", "chain", "chain_length",
         "chains_equal_tree", "dialogue_simulate", "divergence_sweep",
-        "first_announcement", "is_base", "lemma_report", "normalize",
-        "reference_announcement", "sigma_reduce", "solve_puzzle",
-        "validate_config",
+        "first_announcement", "is_base", "iter_chain", "lemma_report",
+        "normalize", "sigma_reduce", "solve_puzzle", "validate_config",
     ),
     "cli": (),  # the command line; reached as fibtree.cli
 }

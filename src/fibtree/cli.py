@@ -3,19 +3,21 @@
 One binary, subcommand per operation.  Each command computes its result
 and returns it as data, in one of two shapes:
 
-- a Doc: one JSON object, its text lines, and its CSV header and rows;
+- a Doc: a function that builds its JSON object, its text lines, and
+  its CSV header and rows;
 - a Stream: scan records, lazy and never materialized, with a CSV
   header and row function, a text-line function, and a summary
   function that gets the record count once the records run out.
 
 One renderer, _render, writes either shape as text, JSON or CSV, and
 main owns the rendering, the stopwatch line of a scan and the exit
-code.  Scans run in one process on the row kernel engine.level_rows;
---jobs is accepted for compatibility and selects nothing.  Machine
-formats (json, csv) are deterministic: identical argv produces
-byte-identical output, so scan results can be diffed across runs.
-Timings go to stderr only.  Each command imports the library modules it
-runs, so a process loads only what its command needs.
+code.  The library returns plain data; only this module knows the
+output formats.  Scans run in one process on the row kernel
+engine.level_rows; --jobs is accepted for compatibility and selects
+nothing.  Machine formats (json, csv) are deterministic: identical argv
+produces byte-identical output, so scan results can be diffed across
+runs.  Timings go to stderr only.  Each command imports the library
+modules it runs, so a process loads only what its command needs.
 
 Exit codes: 0 success, 1 usage error (including an --out path that
 cannot be written, or a reader that closed the output pipe early), 2
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -51,12 +53,14 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class Doc(NamedTuple):
-    """A whole result: the JSON object, the text lines and the CSV table.
+    """A whole result: a function that builds the JSON object, the text
+    lines and the CSV table.
 
-    _render reads text or rows once, for the format asked, so a command
-    with a long payload passes generators and builds only that one.
+    _render calls json or reads text or rows once, for the format asked,
+    so a command with a long payload passes generators and builds only
+    that one.
     """
-    json: dict
+    json: Callable[[], dict]
     text: Iterable[str]
     header: list[str]
     rows: Iterable
@@ -115,7 +119,7 @@ def _render(result: Doc | Stream, fmt: str, out) -> bool:
         table.writerow(result.header)
     if isinstance(result, Doc):
         if fmt == "json":
-            write(_dumps(result.json) + "\n")
+            write(_dumps(result.json()) + "\n")
         elif fmt == "csv":
             table.writerows(result.rows)
         else:
@@ -165,14 +169,14 @@ def _parse_root(text: str | None):
 
 def _cmd_eval(args) -> Doc:
     a, b, c = evaluate(as_code(args.code), _parse_root(args.root))
-    return Doc({"state": [a, b, c], "value": c},
+    return Doc(lambda: {"state": [a, b, c], "value": c},
                [f"state: {a} {b} {c}", f"value: {c}"],
                ["a", "b", "c", "value"], [[a, b, c, c]])
 
 
 def _cmd_trace(args) -> Doc:
     states = trace(as_code(args.code), _parse_root(args.root))
-    return Doc({"code": args.code, "states": [list(s) for s in states]},
+    return Doc(lambda: {"code": args.code, "states": states},
                ["{}: {} {} {}".format(i, *s) for i, s in enumerate(states)],
                ["step", "a", "b", "c"],
                [[i, *s] for i, s in enumerate(states)])
@@ -182,8 +186,8 @@ def _cmd_reflect(args) -> Doc:
     code = as_code(args.code)
     mirrored = reflect(code)
     val, mval = value(code), value(mirrored)
-    return Doc({"code": code, "reflected": mirrored, "value": val,
-                "reflected_value": mval},
+    return Doc(lambda: {"code": code, "reflected": mirrored, "value": val,
+                        "reflected_value": mval},
                [f"code: {code} value: {val}", f"reflected: {mirrored} value: {mval}"],
                ["code", "reflected", "value", "reflected_value"],
                [[code, mirrored, val, mval]])
@@ -196,7 +200,7 @@ def _cmd_metrics(args) -> Doc:
     clusters = list(cluster_profile(code).per_position)
     w, avg, var = weight(code), _frac(cluster_average(code)), _frac(cluster_variance(code))
     spaced = " ".join(map(str, clusters))
-    return Doc({"weight": w, "avg": avg, "var": var, "clusters": clusters},
+    return Doc(lambda: {"weight": w, "avg": avg, "var": var, "clusters": clusters},
                [f"weight: {w}", f"clusters: {spaced}", f"avg: {avg}", f"var: {var}"],
                ["weight", "avg", "var", "clusters"], [[w, avg, var, spaced]])
 
@@ -214,7 +218,8 @@ def _cmd_expand(args) -> Doc | int:
     if args.inverse is not None:
         e = Expansion(*args.inverse)
         code = decode_expansion(e)
-        return Doc({"a": e.a, "b": e.b, "k": e.k, "code": code, "value": e.value()},
+        return Doc(lambda: {"a": e.a, "b": e.b, "k": e.k, "code": code,
+                            "value": e.value()},
                    [f"code: {code}",
                     f"expansion: {e.a}*F({e.k}) + {e.b}*F({e.k + 2})",
                     f"value: {e.value()}"],
@@ -245,7 +250,7 @@ def _cmd_expand(args) -> Doc | int:
         text.append(f"tree: {_dumps(doc['tree'])}")
         text.append("products: " + " + ".join(
             "*".join(f"F({i})" for i in t) for t in products))
-    return Doc(doc, text, header, [row])
+    return Doc(lambda: doc, text, header, [row])
 
 
 def _cmd_sb_frac(args) -> Doc:
@@ -253,7 +258,7 @@ def _cmd_sb_frac(args) -> Doc:
 
     code = as_code(args.code)
     uq, vq = _frac(u(code)), _frac(v(code))
-    return Doc({"code": code, "u": uq, "v": vq}, [f"u: {uq}", f"v: {vq}"],
+    return Doc(lambda: {"code": code, "u": uq, "v": vq}, [f"u: {uq}", f"v: {vq}"],
                ["code", "u", "v"], [[code, uq, vq]])
 
 
@@ -363,8 +368,8 @@ def _cmd_scan_blocks(args) -> Stream:
     _check_cap(args, "--max-j", args.max_j)
     if args.max_j < 2:
         raise DomainError("--max-j must be >= 2")
-    items = [check_block_alternating(j).to_jsonable()
-             for j in range(2, args.max_j + 1)]
+    verdicts = map(check_block_alternating, range(2, args.max_j + 1))
+    items = [{**v._asdict(), "ok": v.ok} for v in verdicts]
     bad = sum(not it["ok"] for it in items)
     scope = f"blocks:max-j={args.max_j}"
     header = ["j", "block", "block_reflected", "alternating",
@@ -380,27 +385,33 @@ def _cmd_scan_blocks(args) -> Stream:
 def _cmd_hat_simulate(args) -> Doc:
     from .threehat import dialogue_simulate
 
-    transcript = dialogue_simulate((args.a, args.b, args.c))
+    t = dialogue_simulate((args.a, args.b, args.c))
+
+    def doc():
+        turns = [{"turn": r.turn, "player": r.player, "action": r.action}
+                 for r in t.turns]
+        turns[-1]["value"] = t.value
+        return {"config": t.config, "turns": turns, "announcer": t.announcer,
+                "turn": t.turn, "round": t.round, "value": t.value}
+
     lines = chain((f"turn {r.turn}: {r.player} announces {r.value}"
                    if r.action == "announce" else f"turn {r.turn}: {r.player} passes"
-                   for r in transcript.turns),
-                  [f"result: {transcript.announcer} announces {transcript.value} "
-                   f"at turn {transcript.turn} (round {transcript.round})"])
-    return Doc(transcript.to_jsonable(), lines,
-               ["turn", "player", "action", "value"],
+                   for r in t.turns),
+                  [f"result: {t.announcer} announces {t.value} "
+                   f"at turn {t.turn} (round {t.round})"])
+    return Doc(doc, lines, ["turn", "player", "action", "value"],
                ([r.turn, r.player, r.action, "" if r.value is None else r.value]
-                for r in transcript.turns))
+                for r in t.turns))
 
 
 def _cmd_hat_chain(args) -> Doc:
-    from .threehat import chain as sigma_chain
+    from .threehat import chain_length, iter_chain
 
     cfg = (args.a, args.b, args.c)
-    full = sigma_chain(cfg, abbreviated=False)
-    length = max(len(full) - 1, 1)
-    links = full if args.full else full[:length]
-    return Doc({"config": list(cfg), "abbreviated": not args.full,
-                "chain": [list(s) for s in links], "length": length},
+    length = chain_length(cfg)
+    links = iter_chain(cfg) if args.full else islice(iter_chain(cfg), length)
+    return Doc(lambda: {"config": cfg, "abbreviated": not args.full,
+                        "chain": list(links), "length": length},
                chain(("{} {} {}".format(*s) for s in links), [f"length: {length}"]),
                ["index", "a", "b", "c"],
                ([i, *s] for i, s in enumerate(links)))
@@ -411,7 +422,9 @@ def _cmd_hat_solve(args) -> Doc:
 
     query = PuzzleQuery(args.solver, args.rounds, args.value)
     result = solve_puzzle(query)
-    doc = result.to_jsonable()
+    doc = {"query": query._asdict(), "survivors": result.criteria.survivors,
+           "excluded": result.criteria.excluded,
+           "solutions": [s._asdict() for s in result.solutions]}
     lines = [f"query: solver {query.solver}, rounds {query.rounds}, "
              f"value {query.value}",
              "survivors: " + (", ".join(
@@ -429,10 +442,10 @@ def _cmd_hat_solve(args) -> Doc:
         lines.append("solutions: (none)")
     if args.oracle_cap is not None:
         oracle = brute_solve(query, args.oracle_cap)
-        doc["oracle"] = [s.to_jsonable() for s in oracle]
+        doc["oracle"] = [s._asdict() for s in oracle]
         solved = {s.config for s in result.solutions}
         extra = [s for s in oracle if s.config not in solved]
-        doc["oracle_extra"] = [s.to_jsonable() for s in extra]
+        doc["oracle_extra"] = [s._asdict() for s in extra]
         lines.append(f"oracle (cap {args.oracle_cap}): "
                      f"{len(oracle)} solutions, {len(extra)} outside the "
                      "primitive-scaling pipeline")
@@ -440,7 +453,8 @@ def _cmd_hat_solve(args) -> Doc:
             *s.config, " [base]" if is_base(s.config) else "")
             for s in extra)
         rows.extend([*s.config, s.announcer, s.round, s.turn] for s in extra)
-    return Doc(doc, lines, ["wa", "wb", "wc", "announcer", "round", "turn"], rows)
+    return Doc(lambda: doc, lines, ["wa", "wb", "wc", "announcer", "round", "turn"],
+               rows)
 
 
 # --------------------------------------------------------------- parser

@@ -82,16 +82,6 @@ class BlockAlternatingVerdict(NamedTuple):
             and self.block < self.alternating
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "j": self.j,
-            "block": self.block,
-            "block_reflected": self.block_reflected,
-            "alternating": self.alternating,
-            "alternating_reflected": self.alternating_reflected,
-            "ok": self.ok,
-        }
-
 
 class RootScanReport(NamedTuple):
     scope: str

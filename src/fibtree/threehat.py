@@ -28,16 +28,21 @@ their own hand; that world sigma-reduces back to the very world under
 discussion, so its closed-form announcement lands strictly later and
 can never refute the alternative in time.  The max holder's alternative
 is the sigma-reduction itself, settled earlier by induction, which
-yields exactly the slot-ceiling rule above.  reference_announcement
-implements the turn recursion literally (memoized, turn-capped) and the
-test suite checks both agree exhaustively on small configurations.
+yields exactly the slot-ceiling rule above.  The test suite's oracle
+reference_announcement (tests/oracle.py) implements the turn recursion
+literally, memoized and turn-capped, and the suite checks that both
+agree exhaustively on small configurations.
+
+Results are plain NamedTuples; the command line decides how they are
+written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
+from typing import Iterator, NamedTuple
 
 from .engine import enumerate_states, trace
 from .errors import DivergenceError, DomainError
@@ -83,17 +88,23 @@ def sigma_reduce(s) -> tuple[int, int, int]:
     return (lo, hi, b)
 
 
+def iter_chain(s) -> Iterator[tuple[int, int, int]]:
+    """The sigma iteration of a configuration, sorted entries, one link at
+    a time, down to and including its base."""
+    cur = tuple(sorted(validate_config(s)))
+    yield cur
+    while not is_base(cur):
+        cur = sigma_reduce(cur)
+        yield cur
+
+
 def chain(s, abbreviated: bool = True) -> list[tuple[int, int, int]]:
-    """The sigma iteration of a configuration, sorted entries, down to its base.
+    """The sigma iteration of a configuration as a list (see iter_chain).
 
     The abbreviated form omits the final base configuration (unless the
     input already is one).
     """
-    cur = tuple(sorted(validate_config(s)))
-    out = [cur]
-    while not is_base(cur):
-        cur = sigma_reduce(cur)
-        out.append(cur)
+    out = list(iter_chain(s))
     if abbreviated and len(out) > 1:
         out.pop()
     return out
@@ -182,89 +193,27 @@ def first_announcement(w) -> tuple[int, int]:
     return turn, (turn - 1) % 3
 
 
-def reference_announcement(w, cap: int | None = None) -> int | None:
-    """Earliest announcing turn <= cap by direct evaluation of the recursion.
-
-    Slow path kept as the semantic ground truth; memo tables live only in
-    this invocation.  Announcement turns are scale invariant, so worlds
-    are coprime-normalized before lookup, and a world whose chain has
-    length L cannot announce before turn L (the refutation path must walk
-    down to an equal-pair world one neighbor at a time).
-    """
-    w = validate_config(w)
-    if cap is None:
-        cap = 3 * (chain_length(w) + 2)
-    ann_memo: dict[tuple, bool] = {}
-    first_memo: dict[tuple, list] = {}
-
-    def alternative(cfg, i):
-        x, y = cfg[(i + 1) % 3], cfg[(i + 2) % 3]
-        other = x + y if cfg[i] == abs(x - y) else abs(x - y)
-        if other == 0:
-            return None
-        out = list(cfg)
-        out[i] = other
-        return tuple(out)
-
-    def announces(cfg, t) -> bool:
-        key = (cfg, t)
-        if key not in ann_memo:
-            alt = alternative(cfg, (t - 1) % 3)
-            ann_memo[key] = alt is None or first_by(alt, t - 1) is not None
-        return ann_memo[key]
-
-    def first_by(cfg, budget):
-        g = gcd(gcd(cfg[0], cfg[1]), cfg[2])
-        cfg = (cfg[0] // g, cfg[1] // g, cfg[2] // g)
-        if budget < _chain_length_normalized(tuple(sorted(cfg))):
-            return None
-        rec = first_memo.setdefault(cfg, [0, None])
-        if rec[1] is not None:
-            return rec[1] if rec[1] <= budget else None
-        t = rec[0] + 1
-        while t <= budget:
-            if announces(cfg, t):
-                rec[1] = t
-                return t
-            rec[0] = t
-            t += 1
-        return None
-
-    return first_by(w, cap)
-
-
-@dataclass(frozen=True)
-class TurnRecord:
+class TurnRecord(NamedTuple):
     turn: int
     player: str
     action: str
     value: int | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {"turn": self.turn, "player": self.player, "action": self.action}
-        if self.value is not None:
-            out["value"] = self.value
-        return out
 
-
-@dataclass
-class Transcript:
+class Transcript(NamedTuple):
+    """A dialogue run to its first announcement; every earlier turn passes."""
     config: tuple[int, int, int]
-    turns: list[TurnRecord]
     announcer: str
     turn: int
     round: int
     value: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "config": list(self.config),
-            "turns": [t.to_jsonable() for t in self.turns],
-            "announcer": self.announcer,
-            "turn": self.turn,
-            "round": self.round,
-            "value": self.value,
-        }
+    @property
+    def turns(self) -> Iterator[TurnRecord]:
+        """One record per turn, each built as it is read."""
+        for t in range(1, self.turn):
+            yield TurnRecord(t, PLAYERS[(t - 1) % 3], "pass")
+        yield TurnRecord(self.turn, self.announcer, "announce", self.value)
 
 
 def dialogue_simulate(w) -> Transcript:
@@ -278,36 +227,17 @@ def dialogue_simulate(w) -> Transcript:
     turn, player = first_announcement(w)
     if turn > cap:
         raise DivergenceError(f"no announcement for {w} within {cap} turns")
-    records = [TurnRecord(t, PLAYERS[(t - 1) % 3], "pass") for t in range(1, turn)]
-    records.append(TurnRecord(turn, PLAYERS[player], "announce", w[player]))
-    return Transcript(
-        config=w,
-        turns=records,
-        announcer=PLAYERS[player],
-        turn=turn,
-        round=(turn + 2) // 3,
-        value=w[player],
-    )
+    return Transcript(w, PLAYERS[player], turn, (turn + 2) // 3, w[player])
 
 
 # ------------------------------------------------- chains versus the tree
 
-@dataclass
-class ChainTreeVerdict:
+class ChainTreeVerdict(NamedTuple):
     bound: int
     equal: bool
     states: int
     configs: int
-    mismatches: list = field(default_factory=list)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "bound": self.bound,
-            "equal": self.equal,
-            "states": self.states,
-            "configs": self.configs,
-            "mismatches": self.mismatches,
-        }
+    mismatches: list
 
 
 def chains_equal_tree(bound: int) -> ChainTreeVerdict:
@@ -350,36 +280,24 @@ def chains_equal_tree(bound: int) -> ChainTreeVerdict:
 
 # ------------------------------------------------------------ the solver
 
-@dataclass(frozen=True)
-class PuzzleQuery:
-    solver: str
-    rounds: int
-    value: int
+# typing.NamedTuple refuses a __new__ of its own, so the checks sit on a
+# subclass of the plain named tuple
+class PuzzleQuery(namedtuple("PuzzleQuery", "solver rounds value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.solver not in PLAYERS:
-            raise DomainError(f"solver must be one of A, B, C, got {self.solver!r}")
-        if self.rounds < 1 or self.value < 1:
+    def __new__(cls, solver: str, rounds: int, value: int):
+        if solver not in PLAYERS:
+            raise DomainError(f"solver must be one of A, B, C, got {solver!r}")
+        if rounds < 1 or value < 1:
             raise DomainError("rounds and value must be positive")
-
-    def to_jsonable(self) -> dict:
-        return {"solver": self.solver, "rounds": self.rounds, "value": self.value}
+        return super().__new__(cls, solver, rounds, value)
 
 
-@dataclass
-class CriteriaReport:
+class CriteriaReport(NamedTuple):
     query: PuzzleQuery
     survivors: list[tuple[int, int, int]]
     excluded: dict[str, int]
     considered: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "query": self.query.to_jsonable(),
-            "survivors": [list(s) for s in self.survivors],
-            "excluded": self.excluded,
-            "considered": self.considered,
-        }
 
 
 def _is_prime(n: int) -> bool:
@@ -456,35 +374,17 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     config: tuple[int, int, int]
     announcer: str
     round: int
     turn: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "config": list(self.config),
-            "announcer": self.announcer,
-            "round": self.round,
-            "turn": self.turn,
-        }
 
-
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     query: PuzzleQuery
     criteria: CriteriaReport
     solutions: list[Solution]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "query": self.query.to_jsonable(),
-            "survivors": [list(s) for s in self.criteria.survivors],
-            "excluded": self.criteria.excluded,
-            "solutions": [s.to_jsonable() for s in self.solutions],
-        }
 
 
 def _verified_solutions(query: PuzzleQuery, candidates) -> list[Solution]:
@@ -561,8 +461,7 @@ def _all_configs(max_entry: int):
             yield (x, y, s)
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     max_entry: int
     convention: str
     checked: int
@@ -573,17 +472,6 @@ class LemmaReport:
     @property
     def violation_count(self) -> int:
         return len(self.violations)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_entry": self.max_entry,
-            "convention": self.convention,
-            "checked": self.checked,
-            "violation_count": self.violation_count,
-            "violations": self.violations,
-            "abbreviated_deviations": self.abbreviated_deviations,
-            "abbreviated_samples": self.abbreviated_samples,
-        }
 
 
 def lemma_report(max_entry: int) -> LemmaReport:
@@ -635,18 +523,10 @@ def lemma_report(max_entry: int) -> LemmaReport:
     )
 
 
-@dataclass
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     max_entry: int
     checked: int
     divergences: list
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_entry": self.max_entry,
-            "checked": self.checked,
-            "divergences": self.divergences,
-        }
 
 
 def divergence_sweep(max_entry: int) -> DivergenceReport:

@@ -3,10 +3,14 @@
 Everything here is deliberately written against different primitives
 than the package uses: values via explicit 3x3 matrix products, cluster
 statistics via a per-position outward scan, Fibonacci numbers via plain
-iteration.  Slow and dumb on purpose.
+iteration, hat announcements via the literal turn recursion.  Slow and
+dumb on purpose.
 """
 
 from fractions import Fraction
+from math import gcd
+
+from fibtree.threehat import _chain_length_normalized, chain_length, validate_config
 
 M0 = ((1, 0, 0), (0, 0, 1), (1, 0, 1))  # (a, b, c) -> (a, c, a+c)
 M1 = ((0, 1, 0), (0, 0, 1), (0, 1, 1))  # (a, b, c) -> (b, c, b+c)
@@ -52,3 +56,54 @@ def fib_by_addition(n):
     for _ in range(n - 1):
         a, b = b, a + b
     return a
+
+
+def reference_announcement(w, cap: int | None = None) -> int | None:
+    """Earliest announcing turn <= cap by direct evaluation of the recursion.
+
+    Slow path kept as the semantic ground truth; memo tables live only in
+    this invocation.  Announcement turns are scale invariant, so worlds
+    are coprime-normalized before lookup, and a world whose chain has
+    length L cannot announce before turn L (the refutation path must walk
+    down to an equal-pair world one neighbor at a time).
+    """
+    w = validate_config(w)
+    if cap is None:
+        cap = 3 * (chain_length(w) + 2)
+    ann_memo: dict[tuple, bool] = {}
+    first_memo: dict[tuple, list] = {}
+
+    def alternative(cfg, i):
+        x, y = cfg[(i + 1) % 3], cfg[(i + 2) % 3]
+        other = x + y if cfg[i] == abs(x - y) else abs(x - y)
+        if other == 0:
+            return None
+        out = list(cfg)
+        out[i] = other
+        return tuple(out)
+
+    def announces(cfg, t) -> bool:
+        key = (cfg, t)
+        if key not in ann_memo:
+            alt = alternative(cfg, (t - 1) % 3)
+            ann_memo[key] = alt is None or first_by(alt, t - 1) is not None
+        return ann_memo[key]
+
+    def first_by(cfg, budget):
+        g = gcd(gcd(cfg[0], cfg[1]), cfg[2])
+        cfg = (cfg[0] // g, cfg[1] // g, cfg[2] // g)
+        if budget < _chain_length_normalized(tuple(sorted(cfg))):
+            return None
+        rec = first_memo.setdefault(cfg, [0, None])
+        if rec[1] is not None:
+            return rec[1] if rec[1] <= budget else None
+        t = rec[0] + 1
+        while t <= budget:
+            if announces(cfg, t):
+                rec[1] = t
+                return t
+            rec[0] = t
+            t += 1
+        return None
+
+    return first_by(w, cap)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibtree
-from fibtree import chain, threehat
+from fibtree import iter_chain, threehat
 from fibtree.cli import main
 
 
@@ -329,12 +329,12 @@ def test_hat_chain_full(capsys):
 def test_hat_chain_walks_the_chain_once(capsys, monkeypatch, flags):
     calls = []
 
-    def counting_chain(*args, **kwargs):
+    def counting_walk(*args, **kwargs):
         calls.append(args)
-        return chain(*args, **kwargs)
+        return iter_chain(*args, **kwargs)
 
-    # the command imports chain from fibtree.threehat when it runs
-    monkeypatch.setattr(threehat, "chain", counting_chain)
+    # the command imports iter_chain from fibtree.threehat when it runs
+    monkeypatch.setattr(threehat, "iter_chain", counting_walk)
     rc, _, _ = run(capsys, "hat", "chain", "3", "11", "14", *flags)
     assert rc == 0
     assert len(calls) == 1
@@ -788,14 +788,23 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
-def test_hat_simulate_json_builds_no_text_lines_or_rows():
-    # 100,001 turns: building every text line and CSV row as well as the
-    # JSON object peaked at 108 MB, the JSON object alone at about 83 MB
-    proc = _child("-c", PEAK_RSS, "hat", "simulate", "1", "100000", "100001",
-                  "--format", "json")
+@pytest.mark.parametrize("command, bound_mb", [
+    # 150,000 turns: the JSON object peaks near 64 MB; with a list of
+    # turn records as well it took 83 MB, and with every text line and
+    # CSV row too, 108 MB
+    ("hat simulate 1 100000 100001 --format json", 95),
+    # text and CSV build each turn record and chain link as it is written,
+    # so they stay near the interpreter's own 16 MB; a list of turn
+    # records and its JSON object took 67 MB, a list of links 36 MB
+    ("hat simulate 1 100000 100001 --format text", 32),
+    ("hat simulate 1 100000 100001 --format csv", 32),
+    ("hat chain 1 100000 100001 --full --format csv", 32),
+])
+def test_hat_peak_rss(command, bound_mb):
+    proc = _child("-c", PEAK_RSS, *command.split())
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    assert peak_kb < 95 * 1024
+    assert peak_kb < bound_mb * 1024
 
 
 def test_closed_pipe_ends_quietly():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fibtree import (
     DomainError,
     PuzzleQuery,
+    TurnRecord,
     apply_criteria,
     bounds,
     brute_solve,
@@ -24,7 +26,8 @@ from fibtree import (
     validate_config,
 )
 from fixtures import NOT_INT_ENTRIES
-from fibtree.threehat import _all_configs, _chain_length_normalized, reference_announcement
+from fibtree.threehat import _all_configs, _chain_length_normalized
+from oracle import reference_announcement
 
 
 # -------------------------------------------------------- configurations
@@ -104,19 +107,26 @@ def test_transcript_root_world():
 
 def test_transcript_second_round():
     t = dialogue_simulate((3, 1, 2))
-    assert t.to_jsonable() == {
-        "config": [3, 1, 2],
-        "turns": [
-            {"turn": 1, "player": "A", "action": "pass"},
-            {"turn": 2, "player": "B", "action": "pass"},
-            {"turn": 3, "player": "C", "action": "pass"},
-            {"turn": 4, "player": "A", "action": "announce", "value": 3},
-        ],
-        "announcer": "A",
-        "turn": 4,
-        "round": 2,
-        "value": 3,
-    }
+    assert (t.config, t.announcer, t.turn, t.round, t.value) == ((3, 1, 2), "A", 4, 2, 3)
+    assert list(t.turns) == [
+        TurnRecord(1, "A", "pass"),
+        TurnRecord(2, "B", "pass"),
+        TurnRecord(3, "C", "pass"),
+        TurnRecord(4, "A", "announce", 3),
+    ]
+
+
+def test_transcript_holds_no_turn_records():
+    # 150,000 turns: a record per turn would take several MB
+    dialogue_simulate((1, 2, 3))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        t = dialogue_simulate((1, 10**5, 10**5 + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.turn == 150_000
+    assert peak < 1 << 20
 
 
 def test_closed_form_matches_recursion_everywhere():
