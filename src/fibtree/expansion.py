@@ -12,10 +12,13 @@ leaves are plain Fibonacci numbers.
 expand_recursive builds every node from slices of the code alone: the
 code of the coefficient state is the reversed tail, and the codes of the
 two coefficients are prefixes of it, so no node evaluates or decodes a
-state.  Within one call, equal subtrees are built once and shared, so
-the tree is a DAG whose distinct nodes grow with the code length, while
-the tree it spells out (and its JSON form) can grow far faster.
-tree_value visits each distinct node once.
+state.  Within one call, equal subtrees, leaves included, are built once
+and shared, so the tree is a DAG whose distinct nodes grow with the code
+length, while the tree it spells out (and its JSON form) can grow far
+faster.  tree_value evaluates each distinct sum node once.
+
+Leaf and SumNode are frozen dataclasses with slots: a node has no
+__dict__, and compares, hashes, pickles and copies by its fields.
 """
 
 from __future__ import annotations
@@ -106,13 +109,13 @@ def decode_expansion(e: Expansion) -> str:
     return prefix + orient + decode_state((lo, hi, lo + hi))[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """A plain Fibonacci number F(index)."""
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumNode:
     """(value of a) * F(k) + (value of b) * F(k+2)."""
     k: int
@@ -124,18 +127,25 @@ ExpansionTree = Union[Leaf, SumNode]
 
 
 def tree_value(node: ExpansionTree) -> int:
-    """Value of a tree; linear in its distinct nodes, since shared ones are
-    evaluated once per call."""
+    """Value of a tree; linear in its distinct nodes, since a shared sum
+    node is evaluated once per call and a leaf, shared or not, is a lookup
+    of its Fibonacci number.  A leaf index or k below 1 raises DomainError."""
+    F = _fib_cache
     memo: dict[int, int] = {}
 
     def walk(n: ExpansionTree) -> int:
+        cls = type(n)
+        # the exact classes first; isinstance only for a subclass
+        if cls is Leaf or (cls is not SumNode and isinstance(n, Leaf)):
+            i = n.index
+            return F[i] if 0 < i < len(F) else fib(i)
         v = memo.get(id(n))
         if v is None:
-            if isinstance(n, Leaf):
-                v = fib(n.index)
-            else:
-                v = walk(n.a) * fib(n.k) + walk(n.b) * fib(n.k + 2)
-            memo[id(n)] = v
+            k = n.k
+            if not 0 < k < len(F) - 2:
+                fib(k)      # raises below 1
+                fib(k + 2)  # extends F to k + 2
+            v = memo[id(n)] = walk(n.a) * F[k] + walk(n.b) * F[k + 2]
         return v
 
     return walk(node)
@@ -163,8 +173,9 @@ def flatten_products(node: ExpansionTree) -> list[tuple[int, ...]]:
 def expand_recursive(code: str) -> ExpansionTree:
     """Nested expansion of a code's value, down to Fibonacci-number leaves.
 
-    Equal subtrees are the same object within one call; nothing is kept
-    between calls.
+    Equal subtrees, leaves included, are the same object within one call;
+    nothing is kept between calls.  The nodes are slotted, frozen Leaf and
+    SumNode dataclasses.
     """
     code = as_code(code)
     if not code:
@@ -172,35 +183,53 @@ def expand_recursive(code: str) -> ExpansionTree:
     return _expand(code, {})
 
 
+# _expand builds nodes through their slot descriptors, skipping the
+# frozen __init__ and its object.__setattr__ per field; the values are
+# slices of a valid code, so there is nothing for __init__ to check.
+_new = object.__new__
+_set_index = Leaf.index.__set__
+_set_k, _set_a, _set_b = SumNode.k.__set__, SumNode.a.__set__, SumNode.b.__set__
+
+
+def _leaf(index: int, memo: dict) -> Leaf:
+    """Leaf(index), shared through memo under its int index."""
+    leaf = memo.get(index)
+    if leaf is None:
+        leaf = memo[index] = _new(Leaf)
+        _set_index(leaf, index)
+    return leaf
+
+
 def _expand(code: str, memo: dict) -> ExpansionTree:
     """expand_recursive of a valid nonempty code, memoised by code in memo."""
     node = memo.get(code)
-    if node is None:
-        node = memo[code] = _expand_node(code, memo)
+    if node is not None:
+        return node
+    # the layout _split takes apart: the run of leading ones fixes k, the
+    # bit after the first zero orients the pair, the rest is reversed
+    leading = code.find("0")
+    if leading < 0:
+        return _leaf(len(code) + 4, memo)
+    if leading + 1 == len(code):
+        a = b = _leaf(2, memo)
+    else:
+        # encode_expansion evaluates w (the code after the orienting bit,
+        # reversed) to the state (lo, hi, lo + hi) of the coefficient
+        # pair, so w is that state's code and the coefficients' codes are
+        # slices of it.  The larger coefficient is the value of w less its
+        # last bit; the smaller one is the value of u = w less its
+        # trailing zeros, less two more bits (the leading entry rides
+        # along every 0-step and was the middle entry two steps before the
+        # last 1-step).  Coefficients 1, 2, 3 are initial values, not
+        # prefixes: hi <= 3 iff len(w) <= 1 and lo <= 3 iff len(u) <= 2.
+        w = code[:leading + 1:-1]
+        u = w.rstrip("0")
+        lo = _leaf(2 + len(u), memo) if len(u) <= 2 else _expand(u[:-2], memo)
+        hi = _leaf(3 + len(w), memo) if len(w) <= 1 else _expand(w[:-1], memo)
+        # the orienting bit: 1 puts the smaller coefficient on F(k)
+        a, b = (lo, hi) if code[leading + 1] == "1" else (hi, lo)
+    node = memo[code] = _new(SumNode)
+    _set_k(node, leading + 2)
+    _set_a(node, a)
+    _set_b(node, b)
     return node
-
-
-def _expand_node(code: str, memo: dict) -> ExpansionTree:
-    split = _split(code)
-    if split is None:
-        return Leaf(len(code) + 4)
-    k, rest = split
-    if not rest:
-        return SumNode(k, Leaf(2), Leaf(2))
-
-    # encode_expansion evaluates w = rest[1:][::-1] to the state
-    # (lo, hi, lo + hi) of the coefficient pair, so w is that state's code
-    # and the coefficients' codes are slices of it.  The larger coefficient
-    # is the value of w less its last bit; the smaller one is the value of
-    # u = w less its trailing zeros, less two more bits (the leading entry
-    # rides along every 0-step and was the middle entry two steps before
-    # the last 1-step).  Coefficients 1, 2, 3 are initial values, not
-    # prefixes: hi <= 3 iff len(w) <= 1 and lo <= 3 iff len(u) <= 2.
-    w = rest[:0:-1]
-    u = w.rstrip("0")
-    t_lo = Leaf(2 + len(u)) if len(u) <= 2 else _expand(u[:-2], memo)
-    t_hi = Leaf(3 + len(w)) if len(w) <= 1 else _expand(w[:-1], memo)
-    # the orienting bit: 1 puts the smaller coefficient on F(k)
-    if rest[0] == "1":
-        return SumNode(k, t_lo, t_hi)
-    return SumNode(k, t_hi, t_lo)

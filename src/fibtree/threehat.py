@@ -91,11 +91,12 @@ def sigma_reduce(s) -> tuple[int, int, int]:
 def iter_chain(s) -> Iterator[tuple[int, int, int]]:
     """The sigma iteration of a configuration, sorted entries, one link at
     a time, down to and including its base."""
-    cur = tuple(sorted(validate_config(s)))
-    yield cur
-    while not is_base(cur):
-        cur = sigma_reduce(cur)
-        yield cur
+    # validated once: each link is the sorted sigma_reduce of the last
+    a, b, c = sorted(validate_config(s))
+    yield (a, b, c)
+    while a != b:
+        a, b, c = (a, b - a, b) if a < b - a else (b - a, a, b)
+        yield (a, b, c)
 
 
 def chain(s, abbreviated: bool = True) -> list[tuple[int, int, int]]:
@@ -134,13 +135,12 @@ def chain_length(w) -> int:
 
 def bounds(solver: str, n: int) -> tuple[int, int]:
     """Chain-length window for a solver announcing in round n."""
-    if n < 1:
-        raise DomainError("round count must be >= 1")
-    try:
-        offset = 2 - PLAYERS.index(solver)
-    except ValueError:
+    if type(n) is not int or n < 1:
+        raise DomainError(f"round count must be an integer >= 1, got {n!r}")
+    # a substring test (or str.index) would pass "" and "AB"
+    if solver not in ("A", "B", "C"):
         raise DomainError(f"solver must be one of A, B, C, got {solver!r}")
-    hi = 3 * n - offset
+    hi = 3 * n - (2 - PLAYERS.index(solver))
     return (hi // 2, hi)
 
 
@@ -286,8 +286,12 @@ class PuzzleQuery(namedtuple("PuzzleQuery", "solver rounds value")):
     __slots__ = ()
 
     def __new__(cls, solver: str, rounds: int, value: int):
-        if solver not in PLAYERS:
+        # a substring test would pass "" and "AB"
+        if solver not in ("A", "B", "C"):
             raise DomainError(f"solver must be one of A, B, C, got {solver!r}")
+        # type(), not isinstance(): bool is an int, and no entry is coerced
+        if type(rounds) is not int or type(value) is not int:
+            raise DomainError(f"rounds and value must be integers, got {(rounds, value)!r}")
         if rounds < 1 or value < 1:
             raise DomainError("rounds and value must be positive")
         return super().__new__(cls, solver, rounds, value)

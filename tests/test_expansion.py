@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import random
 from math import gcd
 
@@ -187,6 +190,67 @@ def test_long_codes_share_subtrees(code):
 def test_no_sharing_between_calls():
     first, second = expand_recursive("0110100101"), expand_recursive("0110100101")
     assert first == second and first is not second
+
+
+def test_leaves_are_shared_within_a_call():
+    tree = expand_recursive("10")
+    assert tree == SumNode(3, Leaf(2), Leaf(2)) and tree.a is tree.b
+
+
+# ------------------------------------------------------ node semantics
+
+def test_nodes_are_frozen_slotted_dataclasses():
+    tree = expand_recursive("1011")
+    for node in (tree, tree.a):
+        assert dataclasses.is_dataclass(node) and not hasattr(node, "__dict__")
+    assert [f.name for f in dataclasses.fields(SumNode)] == ["k", "a", "b"]
+    assert [f.name for f in dataclasses.fields(Leaf)] == ["index"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.k = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.a.index = 5
+    assert dataclasses.replace(tree, k=4) == SumNode(4, Leaf(3), Leaf(4))
+
+
+def test_node_equality_hash_and_repr():
+    first, second = expand_recursive("0110100101"), expand_recursive("0110100101")
+    assert first == second and hash(first) == hash(second)
+    tree = expand_recursive("1011")
+    assert tree == SumNode(3, Leaf(3), Leaf(4)) and hash(tree) == hash(SumNode(3, Leaf(3), Leaf(4)))
+    assert tree != SumNode(3, Leaf(4), Leaf(3))
+    # a node is not a tuple of its fields
+    assert tree != (3, Leaf(3), Leaf(4)) and Leaf(3) != (3,)
+    assert repr(tree) == "SumNode(k=3, a=Leaf(index=3), b=Leaf(index=4))"
+
+
+def test_nodes_pickle_and_deepcopy():
+    tree = expand_recursive("0110100101")
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin == tree and twin is not tree
+        assert tree_value(twin) == value("0110100101")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.k = 1
+
+
+def test_nodes_match_by_position_and_keyword():
+    def describe(node):
+        match node:
+            case Leaf(index=i):
+                return f"F{i}"
+            case SumNode(k, a, b):
+                return f"({describe(a)}*F{k} + {describe(b)}*F{k + 2})"
+
+    assert describe(expand_recursive("10011")) == "(F5*F3 + F4*F5)"
+
+
+def test_tree_value_refuses_indices_below_one():
+    for tree in (Leaf(0), Leaf(-1), SumNode(0, Leaf(2), Leaf(2)), SumNode(-1, Leaf(2), Leaf(2)),
+                 SumNode(3, Leaf(0), Leaf(2))):
+        with pytest.raises(DomainError):
+            tree_value(tree)
+    # a hand-built k far beyond any code's
+    big = fib_by_addition(300) * fib_by_addition(3000) + fib_by_addition(3002)
+    assert tree_value(SumNode(3000, Leaf(300), Leaf(2))) == big
 
 
 # A digest of the JSON tree and value of 3,000 seeded random codes of

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import permutations
 from math import gcd
@@ -19,6 +20,7 @@ from fibtree import (
     divergence_sweep,
     first_announcement,
     is_base,
+    iter_chain,
     lemma_report,
     normalize,
     sigma_reduce,
@@ -26,6 +28,7 @@ from fibtree import (
     validate_config,
 )
 from fixtures import NOT_INT_ENTRIES
+import fibtree.threehat
 from fibtree.threehat import _all_configs, _chain_length_normalized
 from oracle import reference_announcement
 
@@ -71,6 +74,33 @@ def test_chain_walks_to_base():
     assert chain_length((2, 4, 6)) == 1  # scale never matters
 
 
+def test_iter_chain_is_repeated_sigma_reduce():
+    rng = random.Random(91)
+    for _ in range(300):
+        lam, a, b = rng.randint(1, 9), rng.randint(1, 2000), rng.randint(1, 2000)
+        w = [lam * a, lam * b, lam * (a + b)]
+        rng.shuffle(w)
+        want = [tuple(sorted(w))]
+        while not is_base(want[-1]):
+            want.append(sigma_reduce(want[-1]))
+        assert list(iter_chain(tuple(w))) == want
+
+
+def test_iter_chain_validates_once(monkeypatch):
+    calls = []
+
+    def counting_validate(w):
+        calls.append(w)
+        return validate_config(w)
+
+    monkeypatch.setattr(fibtree.threehat, "validate_config", counting_validate)
+    links = list(iter_chain((1, 1000, 1001)))
+    assert len(links) == 1000 and links[-1] == (1, 1, 2)
+    assert calls == [(1, 1000, 1001)]
+    with pytest.raises(DomainError):
+        list(iter_chain((1, 2, 4)))
+
+
 def test_chain_length_counts_the_chain():
     for a in range(1, 300):
         for b in range(a, 300 - a):
@@ -87,10 +117,9 @@ def test_round_bounds():
     assert bounds("C", 1) == (1, 3)
     assert bounds("A", 2) == (2, 4)
     assert bounds("B", 3) == (4, 8)
-    with pytest.raises(DomainError):
-        bounds("D", 1)
-    with pytest.raises(DomainError):
-        bounds("A", 0)
+    for args in [("D", 1), ("A", 0), ("", 1), ("AB", 1), ("A", True), ("A", 2.0)]:
+        with pytest.raises(DomainError):
+            bounds(*args)
 
 
 # ------------------------------------------------------------ dialogue
@@ -228,12 +257,21 @@ def test_lemma_window_on_full_chains():
 # --------------------------------------------------------------- puzzle
 
 def test_query_validation():
-    with pytest.raises(DomainError):
-        PuzzleQuery("D", 1, 3)
-    with pytest.raises(DomainError):
-        PuzzleQuery("A", 0, 3)
-    with pytest.raises(DomainError):
-        PuzzleQuery("A", 1, 0)
+    for args in [
+        ("D", 1, 3), ("A", 0, 3), ("A", 1, 0),
+        # a substring of "ABC" is not a player
+        ("", 1, 3), ("AB", 1, 3), ("BC", 1, 3), ("ABC", 1, 3), ("a", 1, 3), (0, 1, 3),
+        # rounds and value are exactly ints, never coerced
+        ("A", True, 3), ("A", 1.5, 3), ("A", 3.0, 3), ("A", "1", 3),
+        ("A", 1, True), ("A", 1, 1.5), ("A", 1, 3.0), ("A", 1, "3"),
+    ]:
+        with pytest.raises(DomainError):
+            PuzzleQuery(*args)
+
+
+def test_query_accepts_each_player():
+    for solver in "ABC":
+        assert PuzzleQuery(solver, 1, 3) == (solver, 1, 3)
 
 
 def test_criteria_pipeline_worked_example():
