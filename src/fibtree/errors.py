@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that raises one."""
 
 
 class DomainError(ValueError):
@@ -7,3 +7,10 @@ class DomainError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A dialogue simulation exceeded its turn cap without an announcement."""
+
+
+def _require_int(name: str, n, least: int | None = None) -> None:
+    if type(n) is not int:  # bool is an int, and no size is coerced
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise DomainError(f"{name} must be >= {least}")

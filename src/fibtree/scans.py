@@ -10,21 +10,19 @@ same way, each from the one before.
 The steps act linearly on the pair (a, b): from a root (a0, b0) a code t
 has value a0*P_t + b0*Q_t, where P and Q are its values from the unit
 pairs (1, 0) and (0, 1), and a code h followed by l has value
-a_h*P_l + b_h*Q_l.  The reflection and root scans check their
-statements through these identities with exact integer Gram matrices:
-reflection at length L costs O(2**(L/2)) time and memory, and the root
-scan reads its survivors off the kernel of one 2x2 Gram matrix and
-counts the coprime roots with a totient sieve, in
-O(max_entry log log max_entry + 2**depth).  Rows of every code are
-built only to write violation records.  The converse scan streams its
-classes from the same split: it groups only the codes that are not
-larger than their reflections, a suffix of each head's block of tail
-values, into per-value arrays of code indices, about 13 bytes per code
-at length 16, and spells names only for the classes it yields.  The
-conjecture scan holds one entry per code, O(2**L) memory, but its time
-grows with the pairs it writes, not with the codes: 3,297,051 pairs at
-length 14 against 16,384 codes.  Each weight class also pays a quadratic
-insort.
+a_h*P_l + b_h*Q_l.  The reflection and root scans read every length off
+one linear recursion, _difference_spans, at O(1) a length once its span
+repeats, and the root scan counts the coprime roots it checks with a
+totient sieve.  Rows of every code are built only to write violation
+records.  The converse scan streams its classes from the split t = h||l:
+it takes each value from half-length rows, groups only the codes that
+are not larger than their reflections, a suffix of each head's block of
+tail values, into per-value arrays of code indices, about 13 bytes per
+code at length 16, and spells names only for the classes it yields.
+The conjecture scan holds one entry per code, O(2**L) memory, but its
+time grows with the pairs it writes, not with the codes: 3,297,051 pairs
+at length 14 against 16,384 codes.  Each weight class also pays a
+quadratic insort.
 
 Scans run in one process and are deterministic: the same parameters
 produce the same report.  Wall-clock timing is kept out of the
@@ -39,11 +37,11 @@ from collections import defaultdict, deque
 from functools import partial
 from itertools import repeat
 from math import comb, gcd
-from operator import add, and_, mul, rshift, sub
+from operator import add, and_, mul, rshift
 from typing import NamedTuple
 
 from .engine import State, _rows, level_row, level_rows, value
-from .errors import DomainError
+from .errors import DomainError, _require_int
 
 
 # ---------------------------------------------------------------- reports
@@ -118,40 +116,11 @@ def _permuted(row: array, rev: array) -> array:
     return array(row.typecode, map(row.__getitem__, rev))
 
 
-def _reflects(values: array, rev: array) -> bool:
-    return _permuted(values, rev) == values
-
-
-def _gram(rows) -> list[list[int]]:
-    """The exact integer Gram matrix: entry (i, j) is rows[i] . rows[j]."""
-    return [[sum(map(mul, u, v)) for v in rows] for u in rows]
-
-
 def _split_levels(n: int) -> list[tuple[array, array, array, array, array]]:
     """Per length 0..n: the root's rows a and b, the unit pairs' value rows
     P and Q, and the bit reversal."""
     return [(a, b, p, q, rev) for (a, b, _), (_, _, p), (_, _, q), rev
             in zip(level_rows(n), _rows(n, 1, 0), _rows(n, 0, 1), _reversals(n))]
-
-
-def _certifies(head, tail) -> bool:
-    """Whether every code of length |h| + |l| reflects, from the split levels
-    of the head length |h| and the tail length |l|.
-
-    Split t = h||l.  Then value(t) - value(rev t) is x_h . y_l with
-    x_h = (a_h, b_h, -P_rev(h), -Q_rev(h)) and y_l = (P_l, Q_l, a_rev(l),
-    b_rev(l)), so reflection holds iff the x span is orthogonal to the y
-    span.  With Gx and Gy their Gram matrices, that is Gx.Gy == 0, since a
-    Gram matrix has the span of its vectors as column space and as the
-    complement of its kernel.  Gx is taken unsigned, so D = diag(1, 1, -1,
-    -1) sits between the two: D.Gx'.D.Gy == 0 iff Gx'.D.Gy == 0.
-    """
-    a, b, p, q, rev = head
-    gx = _gram((a, b, _permuted(p, rev), _permuted(q, rev)))
-    a, b, p, q, rev = tail
-    gy = _gram((p, q, _permuted(a, rev), _permuted(b, rev)))
-    signed = gy[:2] + [[-y for y in row] for row in gy[2:]]
-    return all(sum(map(mul, row, col)) == 0 for row in gx for col in zip(*signed))
 
 
 def _code_str(x: int, length: int) -> str:
@@ -180,26 +149,72 @@ def _coprime_pairs(n: int) -> int:
     return 2 * sum(phi) - 1
 
 
+def _primitive(row) -> tuple[int, ...]:
+    """row divided by the gcd of its entries, its first nonzero entry positive."""
+    k = (gcd(*row) or 1) * (-1 if next(filter(None, row), 0) < 0 else 1)
+    return tuple(x // k for x in row)
+
+
+def _echelon(rows) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of the rational span of integer rows: the reduced
+    row echelon form, each row scaled to coprime integers and a positive
+    pivot.  Clearing a column as pivot[col]*row - row[col]*pivot keeps the
+    earlier pivots positive, since the new pivot is zero left of col."""
+    rows, basis = [tuple(row) for row in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot:
+            pivot = _primitive(pivot)
+            rows = [_cleared(row, pivot, col) for row in rows]
+            basis = [_cleared(row, pivot, col) for row in basis] + [pivot]
+    return tuple(basis)
+
+
+def _cleared(row, pivot, col: int) -> tuple[int, ...]:
+    return _primitive([pivot[col] * x - row[col] * y for x, y in zip(row, pivot)])
+
+
+def _difference_spans(max_len: int):
+    """Yield, for each length L = 1..max_len, the _echelon basis of
+    S_L = span{(P_t - P_rev(t), Q_t - Q_rev(t)) : |t| = L}.
+
+    A root (a0, b0) reflects at L iff it is orthogonal to S_L, since t has
+    value (1, 1).M_t.(a0, b0), M_t the matrix of its steps, and rev(t) has
+    P_rev(t)*a0 + Q_rev(t)*b0.  S_L is the image of the span Z_L of the
+    z_t = (M_t, P_rev(t), Q_rev(t)), and appending a bit is linear in z_t
+    as rev(tx) = x rev(t), so once Z_(L+1) == Z_L every later S repeats.
+    Z is fixed from L = 3 and S_L = span{(2, -1)} from L = 2; the loop finds it.
+    """
+    z, s = _echelon([(1, 0, 0, 1, 1, 1)]), ()  # S_0 = {0}, as rev("") = ""
+    for length in range(1, max_len + 1):
+        grown = _echelon(row for m00, m01, m10, m11, p, q in z for row in (
+            (m00, m01, m00 + m10, m01 + m11, p + q, q),
+            (m10, m11, m00 + m10, m01 + m11, q, p + q)))
+        if grown == z:
+            yield from repeat(s, max_len - length + 1)
+            return
+        z = grown
+        s = _echelon((m00 + m10 - p, m01 + m11 - q) for m00, m01, m10, m11, p, q in z)
+        yield s
+
+
 # ------------------------------------------------------------ the scans
 
 def scan_reflection(max_len: int) -> ScanReport:
     """Check value(t) == value(reflect(t)) for every code of length <= max_len.
 
-    Each length L is certified from the split levels of lengths ceil(L/2)
-    and floor(L/2), in O(2**(L/2)) time and memory.  Only when a length
-    fails are the rows of every code built, up to the last failing
-    length, to write the violation records.
+    Each length is checked for all its codes at once against the span of
+    _difference_spans, in O(1) once the span repeats.  Only when a length
+    fails are the rows of every code built, up to the last one, to write
+    the violation records.
     """
-    if max_len < 1:
-        raise DomainError("max_len must be >= 1")
-    split = _split_levels((max_len + 1) // 2)
-    failing = [L for L in range(1, max_len + 1)
-               if not _certifies(split[(L + 1) // 2], split[L // 2])]
+    _require_int("max_len", max_len, 1)
+    (a0,), (b0,), _ = next(level_rows(0))
+    failing = [L for L, span in enumerate(_difference_spans(max_len), 1)
+               if any(x * a0 + y * b0 for x, y in span)]
     violations = []
     levels = zip(level_rows(failing[-1]), _reversals(failing[-1])) if failing else ()
     for L, ((_, _, values), rev) in enumerate(levels):
-        if _reflects(values, rev):
-            continue
         for code, mirror in enumerate(rev):
             if code < mirror and values[code] != values[mirror]:
                 violations.append({
@@ -239,8 +254,7 @@ def iter_converse_classes(length: int):
     per code at L = 16 and 7 at L = 20.  length is checked at the call,
     before the first class.
     """
-    if length < 1:
-        raise DomainError("length must be >= 1")
+    _require_int("length", length, 1)
     return _converse_classes(length)
 
 
@@ -294,6 +308,7 @@ def scan_converse(length: int) -> list[ValueClass]:
 
 def check_block_alternating(j: int) -> BlockAlternatingVerdict:
     """Compare the block code 0^j 1^j with the alternating code (01)^j."""
+    _require_int("j", j)
     if j < 2:
         raise DomainError("block comparison needs j >= 2")
     return BlockAlternatingVerdict(
@@ -315,8 +330,9 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None):
     streamed and compared byte for byte across runs.  The pair count can
     be in the millions at length 14, hence a generator.
     """
-    if length < 1:
-        raise DomainError("length must be >= 1")
+    _require_int("length", length, 1)
+    if weight_filter is not None:
+        _require_int("weight_filter", weight_filter)
     from .metrics import cluster_variance, weight
 
     row = level_row(length)[2]
@@ -372,28 +388,16 @@ def scan_conjecture(length: int, weight_filter: int | None = None) -> ScanReport
     return ScanReport(scope, checked, violations)
 
 
-def _root_gram(depth: int) -> list[list[int]]:
-    """The Gram matrix of (P_t - P_rev(t), Q_t - Q_rev(t)) over every code t
-    of length <= depth."""
-    dp, dq = array("q"), array("q")
-    for (_, _, p), (_, _, q), rev in zip(_rows(depth, 1, 0), _rows(depth, 0, 1),
-                                         _reversals(depth)):
-        dp += array("q", map(sub, p, _permuted(p, rev)))
-        dq += array("q", map(sub, q, _permuted(q, rev)))
-    return _gram((dp, dq))
-
-
 def _kernel_roots(g, max_entry: int) -> list[State]:
     """The sorted roots (a, b, a+b) with a, b in 1..max_entry coprime whose
-    value-ordered pair (lo, hi) solves g.(lo, hi) == 0, for a 2x2 integer
-    matrix g.
+    value-ordered pair (lo, hi) solves g.(lo, hi) == 0, for 2x2 integer g.
 
     A nonzero g with nonzero determinant solves only (0, 0).  With
     determinant zero its rows are parallel, so its kernel is the line
-    through (-g01, g00), or through (-g11, g10) when the first row is
-    zero.  The coprime pairs on that line are its primitive vector and
-    that vector's negative; a root survives iff the primitive vector has
-    both entries positive and reads (lo, hi).  A zero g keeps every root.
+    through (-g01, g00), or (-g11, g10) when the first row is zero, whose
+    coprime pairs are its _primitive vector and that vector's negative:
+    a root survives iff that vector reads (lo, hi).  A zero g keeps every
+    root.
     """
     (g00, g01), (g10, g11) = g
     if not (g00 or g01 or g10 or g11):
@@ -401,11 +405,7 @@ def _kernel_roots(g, max_entry: int) -> list[State]:
                 for b in range(1, max_entry + 1) if gcd(a, b) == 1]
     if g00 * g11 != g01 * g10:
         return []
-    x, y = (-g01, g00) if g00 or g01 else (-g11, g10)
-    if x < 0:
-        x, y = -x, -y
-    k = gcd(x, y)
-    lo, hi = x // k, y // k
+    lo, hi = _primitive((-g01, g00) if g00 or g01 else (-g11, g10))
     if not 0 < lo <= hi <= max_entry:
         return []
     return [(lo, hi, lo + hi)] + ([(hi, lo, lo + hi)] if lo != hi else [])
@@ -419,19 +419,17 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
     which of the first two slots holds the smaller entry.  From the
     ordered root (lo, hi) a code t has value lo*P_t + hi*Q_t, so the root
     keeps the identity over all codes of length <= depth iff (lo, hi) is
-    orthogonal to every (P_t - P_rev(t), Q_t - Q_rev(t)), that is iff
-    G.(lo, hi) == 0 for the Gram matrix G of those vectors.  G is built
-    once, in exact integers, and the survivors are read off its kernel
-    (_kernel_roots).  The coprime roots checked are counted, not walked.
-    Cost: O(max_entry log log max_entry + 2**depth) time, O(max_entry +
-    2**depth) memory.
+    orthogonal to every (P_t - P_rev(t), Q_t - Q_rev(t)), that is to the
+    spans S_L of _difference_spans for L <= depth, and the survivors are
+    read off the kernel of their joint basis (_kernel_roots).  The coprime
+    roots checked are counted, not walked.  Cost: O(max_entry log log
+    max_entry + depth) time, O(max_entry) memory.
     """
-    if max_entry < 2:
-        raise DomainError("max_entry must be >= 2")
-    if depth < 2:
-        raise DomainError("depth must be >= 2")
+    _require_int("max_entry", max_entry, 2)
+    _require_int("depth", depth, 2)
+    basis = _echelon(row for span in set(_difference_spans(depth)) for row in span)
     return RootScanReport(
         scope=f"roots (a, b, a+b) with a, b <= {max_entry}, coprime, depth {depth}",
         checked=_coprime_pairs(max_entry),
-        survivors=_kernel_roots(_root_gram(depth), max_entry),
+        survivors=_kernel_roots(basis + ((0, 0),) * (2 - len(basis)), max_entry),
     )

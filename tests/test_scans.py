@@ -1,10 +1,13 @@
+import time
 import tracemalloc
-from array import array
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibtree import (
     DomainError,
@@ -23,6 +26,7 @@ from fibtree import (
     weight,
 )
 from fibtree import scans
+from fibtree.engine import _rows
 from oracle import value_by_matrices
 
 
@@ -66,37 +70,87 @@ CERTIFICATE_ROOTS = [(1, 2, 3), (1, 3, 4), (2, 5, 7), (3, 1, 4), (2, 1, 3)]
 
 
 @pytest.mark.parametrize("root", CERTIFICATE_ROOTS)
-def test_reflection_certificate_matches_row_comparison(monkeypatch, root):
-    monkeypatch.setattr(scans, "level_rows",
-                        lambda max_len: level_rows(max_len, root))
-    split = scans._split_levels(10)
+def test_reflection_certificate_matches_row_comparison(root):
+    a0, b0, _ = root
+    levels = zip(level_rows(20, root), scans._reversals(20))
+    next(levels)  # the empty code
     verdicts = []
-    for L, ((_, _, values), rev) in enumerate(zip(level_rows(20, root),
-                                                  scans._reversals(20))):
-        certified = scans._certifies(split[(L + 1) // 2], split[L // 2])
-        assert certified == scans._reflects(values, rev), L
+    for L, (span, ((_, _, values), rev)) in enumerate(
+            zip(scans._difference_spans(20), levels), 1):
+        certified = all(x * a0 + y * b0 == 0 for x, y in span)
+        assert certified == (scans._permuted(values, rev) == values), L
         verdicts.append(certified)
+    assert len(verdicts) == 20
     assert all(verdicts) == (root == (1, 2, 3))
 
 
-@pytest.mark.parametrize("side", ["head", "tail"])
-@pytest.mark.parametrize("row", ["a", "b", "P", "Q"])
-def test_reflection_certificate_fails_on_one_changed_entry(side, row):
-    split = scans._split_levels(5)
-    head, tail = split[5], split[4]  # length 9
-    assert scans._certifies(head, tail)
-    i = "abPQ".index(row)
-    target = head if side == "head" else tail
-    for pos in (0, len(target[i]) // 3, len(target[i]) - 1):
-        changed = array("Q", target[i])
-        changed[pos] += 1
-        levels = {"head": head, "tail": tail}
-        levels[side] = target[:i] + (changed,) + target[i + 1:]
-        assert not scans._certifies(levels["head"], levels["tail"]), pos
+def test_span_verdict_matches_value_comparison(monkeypatch):
+    spans = list(scans._difference_spans(10))
+    for a0 in range(1, 8):
+        for b0 in range(1, 8):
+            root = (a0, b0, a0 + b0)
+            failing = [L for L in range(1, 11)
+                       if any(value(code, root) != value(code[::-1], root)
+                              for code in enumerate_codes(L))]
+            assert failing == [L for L, span in enumerate(spans, 1)
+                               if any(x * a0 + y * b0 for x, y in span)], root
+            # the scan reads the same root through its level_rows seam
+            monkeypatch.setattr(scans, "level_rows",
+                                lambda max_len: level_rows(max_len, root))
+            report = scans.scan_reflection(10)
+            assert sorted({v["length"] for v in report.violations}) == failing, root
+
+
+def test_span_recursion_reaches_its_fixed_point():
+    spans = list(scans._difference_spans(40))
+    assert spans[0] == ()  # the codes of length 1 are palindromes
+    assert set(spans[1:]) == {((2, -1),)}  # only multiples of (1, 2) reflect
+
+
+spanning_sets = st.lists(st.integers(-9, 9), min_size=1, max_size=6).flatmap(
+    lambda first: st.lists(st.lists(st.integers(-9, 9), min_size=len(first),
+                                    max_size=len(first)), max_size=5)
+    .map(lambda rest: [first, *rest]))
+
+
+@given(spanning_sets, st.randoms(use_true_random=False), st.integers(-5, 5).filter(bool))
+def test_echelon_is_canonical(rows, rng, scale):
+    basis = scans._echelon(rows)
+    for row in basis:
+        pivot = next(i for i, x in enumerate(row) if x)
+        assert row[pivot] > 0 and gcd(*row) == 1
+        assert all(other[pivot] == 0 for other in basis if other is not row)
+    # a shuffled, scaled and duplicated spanning set has the same basis,
+    # and so does the set with the basis rows added
+    variant = [[scale * x for x in row] for row in rows] + rng.sample(rows, len(rows) // 2)
+    rng.shuffle(variant)
+    assert scans._echelon(variant) == basis
+    assert scans._echelon([*rows, *basis]) == basis
+    assert scans._echelon(basis) == basis
+
+
+def test_span_scans_stay_small():
+    # a few vectors of six integers per length up to the fixed point and
+    # a shared span after it; the Gram certificates held O(2**(L/2)) and
+    # O(2**depth) entries, past RAM at these sizes
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        roots = scan_roots(400, 30)
+        reflection = scan_reflection(10 ** 4)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roots.survivors == [(1, 2, 3), (2, 1, 3)]
+    assert reflection.violations == [] and reflection.checked == 2 ** 10001 - 2
+    assert peak < 2 ** 20
+    assert elapsed < 2
 
 
 def test_reflection_scan_memory_grows_with_half_the_length():
-    # The certificate holds O(2**(L/2)) entries; the row path needed
+    # The span check holds a few vectors of six integers; the Gram
+    # certificate before it held O(2**(L/2)) entries, and the row path
     # about 8 rows of 8 * 2**26 bytes here.
     tracemalloc.start()
     try:
@@ -106,7 +160,7 @@ def test_reflection_scan_memory_grows_with_half_the_length():
         tracemalloc.stop()
     assert report.violations == []
     assert report.checked == 2 ** 27 - 2
-    assert peak < 32 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 # ----------------------------------------------------------- converse
@@ -298,9 +352,20 @@ def test_kernel_roots_match_the_pair_sweep(name):
         assert scans._kernel_roots(g, max_entry) == _root_sweep(g, max_entry)[1]
 
 
+def _root_gram(depth):
+    """The Gram matrix of (P_t - P_rev(t), Q_t - Q_rev(t)) over every code t
+    of length <= depth, from the unit pairs' value rows."""
+    dp, dq = [], []
+    for (_, _, p), (_, _, q), rev in zip(_rows(depth, 1, 0), _rows(depth, 0, 1),
+                                         scans._reversals(depth)):
+        dp += [p[t] - p[r] for t, r in enumerate(rev)]
+        dq += [q[t] - q[r] for t, r in enumerate(rev)]
+    return [[sum(map(mul, u, v)) for v in (dp, dq)] for u in (dp, dq)]
+
+
 @pytest.mark.parametrize("depth", range(2, 13))
 def test_root_scan_matches_the_pair_sweep(depth):
-    g = scans._root_gram(depth)
+    g = _root_gram(depth)
     for max_entry in (2, 3, 7, 60):
         report = scan_roots(max_entry, depth)
         assert (report.checked, report.survivors) == _root_sweep(g, max_entry)
@@ -317,3 +382,26 @@ def test_block_beats_alternating_is_false_with_reflections_equal():
         assert v.ok
         assert v.block == value("1" * j + "0" * j)
         assert v.alternating == value("01" * j)
+
+
+# -------------------------------------------------------- wrong-typed sizes
+
+not_ints = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.fractions())
+
+SIZED_CALLS = {
+    "scan_reflection": scan_reflection,
+    "scan_roots max_entry": lambda n: scan_roots(n, 4),
+    "scan_roots depth": lambda n: scan_roots(30, n),
+    "iter_converse_classes": iter_converse_classes,
+    "iter_conjecture_violations length": lambda n: list(iter_conjecture_violations(n)),
+    "iter_conjecture_violations weight_filter":
+        lambda n: list(iter_conjecture_violations(5, n)),
+    "check_block_alternating": check_block_alternating,
+}
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+@given(size=not_ints)
+def test_sizes_must_be_ints(name, size):
+    with pytest.raises(DomainError, match="must be an integer"):
+        SIZED_CALLS[name](size)

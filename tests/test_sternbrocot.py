@@ -93,7 +93,7 @@ def test_packed_keys_give_the_set_verdict():
 
 def _set_verdict_of_patched(c):
     """The set verdict of the rows as the module reads them, patched or not."""
-    a, b = sternbrocot.level_row(c)[:2]
+    a, b = sternbrocot._state_rows(c)
     state = set(zip(a, b)) | set(zip(b, a))
     path = set(zip(*sternbrocot._path_rows(c)))
     return (c, state == path, len(state), len(path))
@@ -102,7 +102,7 @@ def _set_verdict_of_patched(c):
 def _altered(monkeypatch, side, change):
     """Patch the rows that one side is read from, passing them through
     change(p_row, q_row) first."""
-    name = "level_row" if side == "state" else "_path_rows"
+    name = "_state_rows" if side == "state" else "_path_rows"
     real = getattr(sternbrocot, name)
 
     def altered(c):
@@ -128,8 +128,9 @@ def test_one_changed_entry_breaks_equality(monkeypatch, side, where, new_entry):
 
 
 def test_path_entries_wider_than_the_state_side_never_match(monkeypatch):
-    # packed with three bits, these pairs give the keys 7, 11, 13 and 14
-    # that the state pairs (1, 3), (2, 3), (3, 1) and (3, 2) give with two
+    # packed into integer keys with three bits, these pairs once gave the
+    # keys 7, 11, 13 and 14 that the state pairs (1, 3), (2, 3), (3, 1)
+    # and (3, 2) gave with two; compared as pairs they never match
     monkeypatch.setattr(sternbrocot, "_path_rows",
                         lambda c: (array("Q", [0, 1, 1, 1]), array("Q", [7, 3, 5, 6])))
     assert check_generation(1) == (1, False, 4, 4)
@@ -150,16 +151,30 @@ def test_repeated_pair_counts_once(monkeypatch, side):
     assert verdict.state_side + verdict.path_side == 2 * 2 ** 7 - lost
 
 
+def test_rows_are_built_in_increasing_order():
+    for c in range(1, 13):
+        a, b = sternbrocot._state_rows(c)
+        assert sternbrocot._increasing(a + b[::-1], b + a[::-1])
+        assert sternbrocot._increasing(*sternbrocot._path_rows(c))
+        assert [F(x, y) for x, y in zip(a, b)] == sorted(u(code) for code in enumerate_codes(c))
+
+
 def test_check_generation_memory():
-    # sets of pair tuples peaked at 38.9 MB here; the sorted key list of
-    # one side now sets the peak
+    # sets of pair tuples peaked at 38.9 MB here and sorted packed keys at
+    # 9.3 MB; both sides' rows, 32 bytes a pair, now set the peak
     tracemalloc.start()
     try:
         assert check_generation(16).equal
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 7 * 2 ** 20
+
+
+@given(st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.fractions()))
+def test_generation_length_must_be_an_int(c):
+    with pytest.raises(DomainError, match="must be an integer"):
+        check_generation(c)
 
 
 @given(codes)
