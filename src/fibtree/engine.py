@@ -23,7 +23,7 @@ State = tuple[int, int, int]
 
 ROOT: State = (1, 2, 3)
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 
 
 def as_code(text: str) -> str:
@@ -150,8 +150,7 @@ def reflect(code: str) -> str:
 
 def enumerate_codes(length: int) -> Iterator[str]:
     """All codes of a given length, ascending as integers with x1 most significant."""
-    if length < 0:
-        raise DomainError("length must be >= 0")
+    _require_int("length", length, 0)
     for n in range(1 << length):
         yield format(n, f"0{length}b") if length else ""
 
@@ -167,8 +166,7 @@ def level_rows(max_len: int,
     (b, c).  Only the previous level is held.  Entries past 2**64 - 1
     raise OverflowError rather than wrap.
     """
-    if max_len < 0:
-        raise DomainError("max_len must be >= 0")
+    _require_int("max_len", max_len, 0)
     a, b, _ = as_state(root)
     return _rows(max_len, a, b)
 
@@ -194,6 +192,7 @@ def _rows(max_len: int, a: int, b: int) -> Iterator[tuple[array, array, array]]:
 
 def level_row(length: int, root: State = ROOT) -> tuple[array, array, array]:
     """The (a, b, c) rows of one length: the last level of level_rows."""
+    _require_int("length", length, 0)
     for rows in level_rows(length, root):
         pass
     return rows
@@ -205,8 +204,7 @@ def enumerate_states(max_third_entry: int) -> Iterator[tuple[State, str]]:
     Depth-first, 0-branch first.  Children are pruned as soon as c exceeds
     the bound, which is valid because c strictly increases along every edge.
     """
-    if max_third_entry < 3:
-        raise DomainError("bound must be >= 3")
+    _require_int("bound", max_third_entry, 3)
     stack: list[tuple[State, str]] = [(ROOT, "")]
     while stack:
         (a, b, c), code = stack.pop()

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from .engine import enumerate_states, trace
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, _require_int
 from .expansion import fib
 
 PLAYERS = "ABC"
@@ -232,6 +232,14 @@ def dialogue_simulate(w) -> Transcript:
 
 # ------------------------------------------------- chains versus the tree
 
+def _states_with_sum(c: int) -> Iterator[tuple[int, int, int]]:
+    """The tree states with third entry c, by first entry: the coprime
+    splits (a, c - a, c) with a < c - a.  None below c = 3."""
+    for a in range(1, (c + 1) // 2):
+        if gcd(a, c) == 1:
+            yield (a, c - a, c)
+
+
 class ChainTreeVerdict(NamedTuple):
     bound: int
     equal: bool
@@ -246,16 +254,9 @@ def chains_equal_tree(bound: int) -> ChainTreeVerdict:
     Also checks, per state, that the sigma chain retraces the evaluation
     trace in reverse and that the chain length is the code length plus one.
     """
-    if bound < 3:
-        raise DomainError("bound must be >= 3")
-    tree: dict[tuple, str] = {}
-    for state, code in enumerate_states(bound):
-        tree[state] = code
-    configs = set()
-    for b in range(2, bound):
-        for a in range(1, b):
-            if a + b <= bound and gcd(a, b) == 1:
-                configs.add((a, b, a + b))
+    _require_int("bound", bound, 3)
+    tree = dict(enumerate_states(bound))
+    configs = {s for c in range(3, bound + 1) for s in _states_with_sum(c)}
     mismatches = []
     for cfg in configs:
         ch = chain(cfg)
@@ -304,15 +305,10 @@ class CriteriaReport(NamedTuple):
     considered: int
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+def _divisors(m: int) -> list[int]:
+    """The divisors of m >= 1, ascending, by trial division up to isqrt(m)."""
+    small = [d for d in range(1, isqrt(m) + 1) if not m % d]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
@@ -331,13 +327,14 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     window of depths; the tree holds exactly 2^(L-1) states of chain
     length L, so those exclusion counts are closed-form window sums
     rather than a walk over 2^hi states.  Only the divisibility stage
-    looks at the states, and there the walk can stop at third entries
-    above the query value because that entry grows along every branch.
-    The reported numbers are identical to filtering the full depth-hi
+    looks at the states: those whose third entry c divides the value are
+    the coprime splits of each divisor c, read off without a walk.  The
+    reported numbers are identical to filtering the full depth-hi
     enumeration stage by stage.
     """
     lo, hi = bounds(query.solver, query.rounds)
     m = query.value
+    divisors = _divisors(m)
 
     def window(p: int, q: int) -> int:
         # tree states with chain length in [p, q]
@@ -347,7 +344,7 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
 
     q2 = min(hi, m - 2)
     p3 = lo
-    if _is_prime(m):
+    if len(divisors) == 2:  # m is prime
         while fib(p3 + 3) < m:
             p3 += 1
 
@@ -358,21 +355,14 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
         "prime_upper_bound": window(lo, q2) - window(p3, q2),
     }
 
-    survivors: list[tuple[int, int, int]] = []
-    frontier = [((1, 2, 3), 1)]
-    while frontier:
-        (a, b, c), L = frontier.pop()
-        if c > m or L > q2:
-            continue
-        if p3 <= L and m % c == 0:
-            survivors.append((a, b, c))
-        frontier.append(((a, c, a + c), L + 1))
-        frontier.append(((b, c, b + c), L + 1))
+    # tree depth is chain length; uncached, as each split is seen once
+    survivors = sorted(s for c in divisors for s in _states_with_sum(c)
+                       if p3 <= _chain_length_normalized.__wrapped__(s) <= q2)
     excluded["divisibility"] = window(p3, q2) - len(survivors)
 
     return CriteriaReport(
         query=query,
-        survivors=sorted(survivors),
+        survivors=survivors,
         excluded=excluded,
         considered=considered,
     )
@@ -393,46 +383,53 @@ class SolveResult(NamedTuple):
 
 def _verified_solutions(query: PuzzleQuery, candidates) -> list[Solution]:
     out = []
-    for w in sorted(set(candidates)):
+    for w in candidates:
         turn, player = first_announcement(w)
         if PLAYERS[player] == query.solver and (turn + 2) // 3 == query.rounds:
             out.append(Solution(w, PLAYERS[player], (turn + 2) // 3, turn))
-    return out
+    return sorted(out)  # the candidates are distinct
 
 
 def solve_puzzle(query: PuzzleQuery) -> SolveResult:
     """All positioned configurations answering the query, dialogue-verified.
 
-    Candidates are the primitive states whose value divides the query
-    value, scaled up and placed with the solver holding the maximum (the
-    announcer always holds the maximum, so this placement is complete).
-    The chain-length window of criterion 1 is reported via apply_criteria
-    but deliberately not used to prune: the window is calibrated to a
-    cue-based dialogue model and cuts genuine solutions under the
-    announcement semantics used here (brute_solve agrees with this
-    choice; base configurations remain out of reach of any state-scaling
-    pipeline and only brute_solve finds them).
+    Candidates are the primitive states whose value c divides the query
+    value, read off as the coprime splits of each divisor c (see
+    chains_equal_tree), scaled up and placed with the solver holding the
+    maximum (the announcer always holds the maximum, so this placement is
+    complete).  The chain-length window of criterion 1 is reported via
+    apply_criteria but deliberately not used to prune: the window is
+    calibrated to a cue-based dialogue model and cuts genuine solutions
+    under the announcement semantics used here (brute_solve agrees with
+    this choice; base configurations remain out of reach of any
+    state-scaling pipeline and only brute_solve finds them).
+
+    Cost at value m: sigma(m) gcd tests, half here and half in
+    apply_criteria, plus one first_announcement per candidate, of which
+    there are at most m.  Memory: the solutions and the divisors, as the
+    candidates stream one at a time.
     """
     criteria = apply_criteria(query)
     x = PLAYERS.index(query.solver)
-    candidates = []
     m = query.value
-    if m >= 3:
-        for (a, b, c), _code in enumerate_states(m):
-            if m % c:
-                continue
+
+    def candidates():
+        for c in _divisors(m):
             lam = m // c
-            for pair in ((lam * a, lam * b), (lam * b, lam * a)):
-                w = [0, 0, 0]
-                w[x] = m
-                w[(x + 1) % 3], w[(x + 2) % 3] = pair
-                candidates.append(tuple(w))
-    return SolveResult(query, criteria, _verified_solutions(query, candidates))
+            for a, b, _ in _states_with_sum(c):
+                for pair in ((lam * a, lam * b), (lam * b, lam * a)):
+                    w = [0, 0, 0]
+                    w[x] = m
+                    w[(x + 1) % 3], w[(x + 2) % 3] = pair
+                    yield tuple(w)
+
+    return SolveResult(query, criteria, _verified_solutions(query, candidates()))
 
 
 def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
     """Exhaustive oracle: simulate every valid configuration with the
     solver's value fixed, entries up to cap."""
+    _require_int("cap", cap)
     if cap < query.value:
         raise DomainError("cap must be at least the query value")
     x = PLAYERS.index(query.solver)
@@ -488,6 +485,7 @@ def lemma_report(max_entry: int) -> LemmaReport:
     sampled rather than listed in full, since they reflect the convention
     choice, not the dialogue.
     """
+    _require_int("max_entry", max_entry, 2)
     checked = 0
     violations = []
     abbr_dev = 0
@@ -535,6 +533,7 @@ class DivergenceReport(NamedTuple):
 
 def divergence_sweep(max_entry: int) -> DivergenceReport:
     """Every configuration must announce within 3 * (L + 2) turns."""
+    _require_int("max_entry", max_entry, 2)
     checked = 0
     divergences = []
     for w in _all_configs(max_entry):

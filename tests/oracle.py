@@ -58,6 +58,11 @@ def fib_by_addition(n):
     return a
 
 
+def is_prime_by_division(n):
+    """n has exactly two divisors among 1..n."""
+    return sum(n % k == 0 for k in range(1, n + 1)) == 2
+
+
 def reference_announcement(w, cap: int | None = None) -> int | None:
     """Earliest announcing turn <= cap by direct evaluation of the recursion.
 

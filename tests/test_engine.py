@@ -14,6 +14,7 @@ from fibtree import (
     enumerate_codes,
     enumerate_states,
     evaluate,
+    level_row,
     level_rows,
     reduce_state,
     reflect,
@@ -221,6 +222,22 @@ def test_enumerate_states_complete_and_consistent():
             s = evaluate(code)
             if s[2] <= 120:
                 assert seen[s] == code
+
+
+SIZED = {
+    "level_rows": lambda n: next(level_rows(n)),
+    "level_row": level_row,
+    "enumerate_codes": lambda n: next(enumerate_codes(n)),
+    "enumerate_states": lambda n: next(enumerate_states(n)),
+}
+
+
+@pytest.mark.parametrize("size", [True, 2.0, "3"])
+@pytest.mark.parametrize("call", sorted(SIZED))
+def test_sizes_must_be_ints(call, size):
+    # True would run as 1 and 2.0 as 2; no size is coerced
+    with pytest.raises(DomainError, match="must be an integer"):
+        SIZED[call](size)
 
 
 # ----------------------------------------------------------- validation

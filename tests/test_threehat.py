@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import permutations
 from math import gcd
@@ -29,8 +30,8 @@ from fibtree import (
 )
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
-from fibtree.threehat import _all_configs, _chain_length_normalized
-from oracle import reference_announcement
+from fibtree.threehat import _all_configs, _chain_length_normalized, _divisors
+from oracle import is_prime_by_division, reference_announcement
 
 
 # -------------------------------------------------------- configurations
@@ -226,6 +227,25 @@ def test_all_configs_yields_each_configuration_once():
     assert len(set(configs)) == len(configs) == 3 * 30 * 29 // 2
 
 
+SWEEPS = {
+    "lemma_report": (lemma_report, 2),
+    "divergence_sweep": (divergence_sweep, 2),
+    "chains_equal_tree": (chains_equal_tree, 3),
+    "brute_solve": (lambda cap: brute_solve(PuzzleQuery("A", 1, 3), cap), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_sizes_are_checked(name):
+    sweep, least = SWEEPS[name]
+    for size in (True, float(least), 3.5, str(least)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sweep(size)
+    for size in (least - 1, 0, -5):
+        with pytest.raises(DomainError):
+            sweep(size)
+
+
 def test_sweeps_check_every_configuration():
     # 3 * N * (N - 1) / 2 configurations: three slots for the sum s, and
     # s - 1 splits of s for each s in 2..N
@@ -289,7 +309,7 @@ def test_criteria_pipeline_worked_example():
 def test_criteria_counts_match_literal_enumeration():
     # the window arithmetic must agree with filtering the materialized
     # depth-hi state list stage by stage
-    from fibtree.threehat import _is_prime, fib
+    from fibtree.threehat import fib
 
     def literal(query):
         lo, hi = bounds(query.solver, query.rounds)
@@ -309,7 +329,7 @@ def test_criteria_counts_match_literal_enumeration():
         kept = [(s, L) for s, L in kept if L + 2 <= query.value]
         excluded["value_lower_bound"] = prev - len(kept)
         prev = len(kept)
-        if _is_prime(query.value):
+        if is_prime_by_division(query.value):
             kept = [(s, L) for s, L in kept if fib(L + 3) >= query.value]
         excluded["prime_upper_bound"] = prev - len(kept)
         prev = len(kept)
@@ -320,7 +340,7 @@ def test_criteria_counts_match_literal_enumeration():
 
     for solver in "ABC":
         for n in (1, 2, 3):
-            for m in (2, 3, 5, 7, 8, 12, 13, 30, 60):
+            for m in (1, 2, 3, 5, 7, 8, 12, 13, 30, 60, 97, 360):
                 q = PuzzleQuery(solver, n, m)
                 r = apply_criteria(q)
                 assert (r.considered, r.excluded, r.survivors) == literal(q), q
@@ -353,10 +373,38 @@ def test_solve_agrees_with_brute_force():
         for n in (1, 2):
             for solver in "ABC":
                 q = PuzzleQuery(solver, n, m)
-                solved = {s.config for s in solve_puzzle(q).solutions}
+                configs = [s.config for s in solve_puzzle(q).solutions]
+                # strictly increasing: sorted and free of repeats
+                assert all(u < v for u, v in zip(configs, configs[1:])), q
+                solved = set(configs)
                 brute = {s.config for s in brute_solve(q, 2 * m)
                          if not is_base(s.config)}
                 assert solved == brute, q
+
+
+def test_divisors_ascend():
+    for m in range(1, 500):
+        assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+
+
+def test_solve_cost_at_a_large_value():
+    # sigma(m) gcd tests and at most m announcements, streamed: about 0.8 s
+    # and 4 KB traced, where a list of the m candidates would take 13 MB;
+    # walking the tree took time quadratic in m
+    q = PuzzleQuery("B", 2, 10**5)
+    start = time.perf_counter()
+    solutions = solve_puzzle(q).solutions
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        assert solve_puzzle(q).solutions == solutions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.config for s in solutions] == sorted({s.config for s in solutions})
+    assert all(s.config[1] == 10**5 and s.round == 2 for s in solutions)
+    assert elapsed < 5
+    assert peak < 1 << 20
 
 
 def test_brute_force_cap_guard():
