@@ -301,7 +301,7 @@ def _cmd_scan_conjecture(args) -> Stream:
 
     _check_cap(args, "--len", args.length)
     if args.weight is not None:
-        checked = comb(args.length, args.weight) if args.weight <= args.length else 0
+        checked = comb(args.length, args.weight)
         scope = f"conjecture:len={args.length}:weight={args.weight}"
     else:
         checked = 1 << args.length

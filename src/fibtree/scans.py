@@ -13,16 +13,15 @@ pairs (1, 0) and (0, 1), and a code h followed by l has value
 a_h*P_l + b_h*Q_l.  The reflection and root scans read every length off
 one linear recursion, _difference_spans, at O(1) a length once its span
 repeats, and the root scan counts the coprime roots it checks with a
-totient sieve.  Rows of every code are built only to write violation
+totient sum.  Rows of every code are built only to write violation
 records.  The converse scan streams its classes from the split t = h||l:
 it takes each value from half-length rows, groups only the codes that
 are not larger than their reflections, a suffix of each head's block of
 tail values, into per-value arrays of code indices, about 13 bytes per
 code at length 16, and spells names only for the classes it yields.
-The conjecture scan holds one entry per code, O(2**L) memory, but its
-time grows with the pairs it writes, not with the codes: 3,297,051 pairs
-at length 14 against 16,384 codes.  Each weight class also pays a
-quadratic insort.
+The conjecture scan holds one int per code and sorts each weight class
+once by value; its time grows with the pairs it writes, not with the
+codes: 3,297,051 pairs at length 14 against 16,384 codes.
 
 Scans run in one process and are deterministic: the same parameters
 produce the same report.  Wall-clock timing is kept out of the
@@ -32,10 +31,10 @@ serialized payload so that re-runs compare byte-identical.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import defaultdict, deque
-from functools import partial
-from itertools import repeat
+from functools import cache, partial
+from itertools import compress, repeat
 from math import comb, gcd
 from operator import add, and_, mul, rshift
 from typing import NamedTuple
@@ -138,15 +137,22 @@ def _code_strs(length: int) -> list[str]:
 def _coprime_pairs(n: int) -> int:
     """The number of coprime (a, b) with 1 <= a, b <= n.
 
-    That is 2 * (phi(1) + ... + phi(n)) - 1, since each a < b pair is
-    counted twice and (1, 1) once, with Euler's phi from a sieve.
+    The totient sum Phi(m) counts the coprime a <= b <= m, so the count is
+    2 * Phi(n) - 1: each a < b pair twice and (1, 1) once.  A pair
+    a <= b <= m over its gcd d is one counted by Phi(m // d), so Phi(m) is
+    m(m+1)/2 minus Phi(m // d) for each d >= 2, memoised over the
+    O(sqrt(n)) distinct quotients: O(n**(3/4)) time, O(sqrt(n)) memory.
     """
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched by any smaller prime, so p is prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return 2 * sum(phi) - 1
+    @cache
+    def phi_sum(m: int) -> int:
+        total, d = m * (m + 1) // 2, 2
+        while d <= m:
+            q = m // d  # shared by every d up to m // q, taken at once
+            total -= (m // q - d + 1) * phi_sum(q)
+            d = m // q + 1
+        return total
+
+    return 2 * phi_sum(n) - 1
 
 
 def _primitive(row) -> tuple[int, ...]:
@@ -325,53 +331,48 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None):
     smaller cluster variance does not come with a strictly larger value.
 
     Yields one dict per violating pair, in a fixed deterministic order
-    (weight ascending, then the higher-variance code by (value, code),
-    then its lower-variance partners by (value, code)), so results can be
-    streamed and compared byte for byte across runs.  The pair count can
-    be in the millions at length 14, hence a generator.
+    (weight ascending, then the higher-variance code by (variance, value,
+    code), then its lower-variance partners by (value, code)), so results
+    can be streamed and compared byte for byte across runs.  The pair
+    count can be in the millions at length 14, hence a generator.
+
+    Each weight class is sorted once by value; a code's partners are the
+    prefix of values <= its own whose cube sum S = L * variance is smaller.
+    Cost: O(sum of n_w**2) C-level comparisons plus O(pairs); memory: one
+    int per code in the class lists, plus one class's names and variances.
     """
     _require_int("length", length, 1)
     if weight_filter is not None:
         _require_int("weight_filter", weight_filter)
-    from .metrics import cluster_variance, weight
+    from .metrics import cluster_variance
 
     row = level_row(length)[2]
-    # weight -> (cluster variance as a Fraction, value, code)
-    buckets: dict[int, list[tuple]] = {}
+    classes = defaultdict(list)
     for code in range(1 << length):
-        text = _code_str(code, length)
-        w = weight(text)
-        if weight_filter is not None and w != weight_filter:
-            continue
-        buckets.setdefault(w, []).append((cluster_variance(text), row[code], code))
-    for w in sorted(buckets):
-        items = sorted(buckets[w], key=lambda r: (r[0], r[1], r[2]))
-        # previous strictly-lower-variance (value, code, variance) entries,
-        # ordered by (value, code)
-        prev: list[tuple] = []
-        prev_vals: list[int] = []
-        start = 0
-        for end in range(1, len(items) + 1):
-            if end < len(items) and items[end][0] == items[start][0]:
-                continue
-            group = items[start:end]
-            for var_j, val_j, code_j in sorted(group, key=lambda r: (r[1], r[2])):
-                cut = bisect_right(prev_vals, val_j)
-                for val_i, code_i, var_i in prev[:cut]:
-                    yield {
-                        "length": length,
-                        "weight": w,
-                        "low_var_code": _code_str(code_i, length),
-                        "high_var_code": _code_str(code_j, length),
-                        "low_var": str(var_i),
-                        "high_var": str(var_j),
-                        "low_var_value": val_i,
-                        "high_var_value": val_j,
-                    }
-            for var_i, val_i, code_i in group:
-                insort(prev, (val_i, code_i, var_i))
-                insort(prev_vals, val_i)
-            start = end
+        w = code.bit_count()
+        if weight_filter is None or w == weight_filter:
+            classes[w].append(code)
+    for w in sorted(classes):
+        # the codes ascend, so a stable sort by value gives (value, code) order
+        codes = sorted(classes.pop(w), key=row.__getitem__)
+        vals = list(map(row.__getitem__, codes))
+        names = [_code_str(code, length) for code in codes]
+        variances = list(map(cluster_variance, names))
+        sums = [int(v * length) for v in variances]
+        var_text = dict(zip(sums, map(str, variances)))
+        for j in sorted(range(len(codes)), key=sums.__getitem__):
+            s_j, val_j, name_j = sums[j], vals[j], names[j]
+            for i in compress(range(bisect_right(vals, val_j)), map(s_j.__gt__, sums)):
+                yield {
+                    "length": length,
+                    "weight": w,
+                    "low_var_code": names[i],
+                    "high_var_code": name_j,
+                    "low_var": var_text[sums[i]],
+                    "high_var": var_text[s_j],
+                    "low_var_value": vals[i],
+                    "high_var_value": val_j,
+                }
 
 
 def scan_conjecture(length: int, weight_filter: int | None = None) -> ScanReport:
@@ -379,11 +380,9 @@ def scan_conjecture(length: int, weight_filter: int | None = None) -> ScanReport
     is fine up to length 12 or so but runs to millions of pairs beyond.
     """
     violations = list(iter_conjecture_violations(length, weight_filter))
-    checked = 1 << length
+    checked, scope = 1 << length, f"codes of length {length}"
     if weight_filter is not None:
         checked = comb(length, weight_filter) if weight_filter >= 0 else 0
-    scope = f"codes of length {length}"
-    if weight_filter is not None:
         scope += f" with weight {weight_filter}"
     return ScanReport(scope, checked, violations)
 
@@ -422,8 +421,8 @@ def scan_roots(max_entry: int, depth: int) -> RootScanReport:
     orthogonal to every (P_t - P_rev(t), Q_t - Q_rev(t)), that is to the
     spans S_L of _difference_spans for L <= depth, and the survivors are
     read off the kernel of their joint basis (_kernel_roots).  The coprime
-    roots checked are counted, not walked.  Cost: O(max_entry log log
-    max_entry + depth) time, O(max_entry) memory.
+    roots checked are counted by a totient sum, not walked.  Cost:
+    O(max_entry**(3/4) + depth) time, O(sqrt(max_entry)) memory.
     """
     _require_int("max_entry", max_entry, 2)
     _require_int("depth", depth, 2)

@@ -8,6 +8,7 @@ dumb on purpose.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from fibtree.threehat import _chain_length_normalized, chain_length, validate_config
@@ -49,6 +50,39 @@ def average_by_positions(code):
 def variance_by_positions(code):
     return Fraction(sum(cluster_at(code, i) ** 2 for i in range(len(code))),
                     len(code))
+
+
+def conjecture_pairs_by_enumeration(length, weight=None):
+    """Every counterexample pair to the variance-ordering conjecture among
+    the codes of one length (of one weight, if given), as the stream's
+    dicts: a pair of equal weight where the strictly smaller variance has
+    a value no larger.  Sorted by weight, then the higher-variance code by
+    (variance, value, code), then the lower-variance one by (value, code).
+    """
+    stats = []  # (weight, variance, value, code)
+    for bits in product("01", repeat=length):
+        code = "".join(bits)
+        if weight is None or code.count("1") == weight:
+            stats.append((code.count("1"), variance_by_positions(code),
+                          value_by_matrices(code), code))
+    pairs = [(lo, hi) for lo in stats for hi in stats
+             if lo[0] == hi[0] and lo[1] < hi[1] and lo[2] <= hi[2]]
+    pairs.sort(key=lambda pair: (pair[1], pair[0][2], pair[0][3]))
+    return [{"length": length, "weight": hi[0],
+             "low_var_code": lo[3], "high_var_code": hi[3],
+             "low_var": str(lo[1]), "high_var": str(hi[1]),
+             "low_var_value": lo[2], "high_var_value": hi[2]} for lo, hi in pairs]
+
+
+def totients_by_sieve(n):
+    """Euler's phi(0), ..., phi(n): each prime p, found untouched by every
+    smaller prime, takes phi(m) // p off each of its multiples m."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def fib_by_addition(n):

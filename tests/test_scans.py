@@ -27,7 +27,7 @@ from fibtree import (
 )
 from fibtree import scans
 from fibtree.engine import _rows
-from oracle import value_by_matrices
+from oracle import conjecture_pairs_by_enumeration, totients_by_sieve, value_by_matrices
 
 
 def test_value_tables_match_direct_evaluation():
@@ -286,6 +286,28 @@ def test_conjecture_rejects_bad_length():
         scan_conjecture(0)
 
 
+def test_conjecture_stream_matches_literal_enumeration():
+    # every pair of the product enumeration, in the documented order
+    for length in range(1, 10):
+        for w in (None, *range(-1, length + 2)):
+            assert (list(iter_conjecture_violations(length, w))
+                    == conjecture_pairs_by_enumeration(length, w)), (length, w)
+
+
+def test_conjecture_stream_memory():
+    # one int per code in the class lists and one class's names and
+    # variances: about 0.3 MB here, where the per-code (Fraction, value,
+    # code) tuples and the insort lists took about 0.8 MB
+    tracemalloc.start()
+    try:
+        for _ in iter_conjecture_violations(12):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2 ** 20
+
+
 # ------------------------------------------------------- roots and blocks
 
 def test_root_scan_keeps_the_value_ordered_pair():
@@ -314,6 +336,32 @@ def test_coprime_pair_count_matches_the_pair_loop():
         # the pairs with max(a, b) == n
         count += 1 if n == 1 else 2 * sum(1 for a in range(1, n) if gcd(a, n) == 1)
         assert scans._coprime_pairs(n) == count, n
+
+
+def test_coprime_pair_count_matches_the_totient_sieve():
+    phi_sum = 0
+    for n, phi in enumerate(totients_by_sieve(10 ** 4)[1:], 1):
+        phi_sum += phi
+        assert scans._coprime_pairs(n) == 2 * phi_sum - 1, n
+
+
+def test_root_scan_cost_at_large_entries():
+    # the totient sum meets O(sqrt(N)) quotients; the sieve before it held
+    # N + 1 ints, about 40 MB at 10**6 and 4 GB at 10**8.  Phi(10**8) is
+    # 3039635516365908 (OEIS A064018).
+    start = time.perf_counter()
+    report = scan_roots(10 ** 8, 10 ** 3)
+    elapsed = time.perf_counter() - start
+    assert report.survivors == [(1, 2, 3), (2, 1, 3)]
+    assert report.checked == 6079271032731815
+    assert elapsed < 10
+    tracemalloc.start()
+    try:
+        scan_roots(10 ** 6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def _root_sweep(g, max_entry):
