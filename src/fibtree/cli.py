@@ -10,14 +10,15 @@ and returns it as data, in one of two shapes:
   function that gets the record count once the records run out.
 
 One renderer, _render, writes either shape as text, JSON or CSV, and
-main owns the rendering, the stopwatch line of a scan and the exit
-code.  The library returns plain data; only this module knows the
-output formats.  Scans run in one process on the row kernel
-engine.level_rows; --jobs is accepted for compatibility and selects
-nothing.  Machine formats (json, csv) are deterministic: identical argv
-produces byte-identical output, so scan results can be diffed across
-runs.  Timings go to stderr only.  Each command imports the library
-modules it runs, so a process loads only what its command needs.
+main owns the rendering, a scan's stderr timing line, labelled by its
+argv, and the exit code.  The library returns plain data; only this
+module knows the output formats.  Scans run in one process on the row
+kernel engine.level_rows; --jobs is accepted for compatibility and
+selects nothing.  Machine formats (json, csv) are deterministic:
+identical argv produces byte-identical output, so scan results can be
+diffed across runs.  Timings go to stderr only.  Each command imports
+the library modules it runs, so a process loads only what its command
+needs.
 
 Exit codes: 0 success, 1 usage error (including an --out path that
 cannot be written, or a reader that closed the output pipe early), 2
@@ -71,15 +72,13 @@ class Stream(NamedTuple):
     summary.
 
     summary(count) gets the number of records written and returns the
-    summary record, the summary sentence, and whether the scan found
-    anything.  stopwatch names the scan on its stderr timing line.
+    summary record, the summary sentence, and whether the scan found anything.
     """
     records: Iterable[dict]
     header: list[str]
     row: Callable
     text: Callable
     summary: Callable
-    stopwatch: str
 
 
 def _frac(q) -> str:
@@ -97,10 +96,10 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _check_cap(args, name: str, limit: int) -> None:
-    if limit > LENGTH_CAP and not args.unsafe_no_cap:
+def _check_cap(args, name: str, size: int, cap: int = LENGTH_CAP) -> None:
+    if size > cap and not args.unsafe_no_cap:
         raise DomainError(
-            f"{name} {limit} exceeds the hard cap {LENGTH_CAP} "
+            f"{name} {size} exceeds the hard cap {cap} "
             "(pass --unsafe-no-cap to override)"
         )
 
@@ -274,8 +273,7 @@ def _cmd_sb_check(args) -> Stream:
                   "c={length}: equal={equal} ({state_side} fractions)".format_map,
                   lambda n: (_scan_summary(scope, args.depth, bad),
                              f"checked {args.depth} generations, {bad} violations",
-                             bad > 0),
-                  f"sb check depth {args.depth}")
+                             bad > 0))
 
 
 def _cmd_scan_reflection(args) -> Stream:
@@ -290,8 +288,7 @@ def _cmd_scan_reflection(args) -> Stream:
                   "{reflected_value}".format_map,
                   lambda n: (_scan_summary(scope, report.checked, n),
                              f"checked {report.checked} codes, {n} violations",
-                             n > 0),
-                  f"scan reflection max-len {args.max_len}")
+                             n > 0))
 
 
 def _cmd_scan_conjecture(args) -> Stream:
@@ -315,8 +312,7 @@ def _cmd_scan_conjecture(args) -> Stream:
                   "(codes {low_var_code}, {high_var_code})".format_map,
                   lambda n: (_scan_summary(scope, checked, n),
                              f"checked {checked} codes, {n} counterexample pairs",
-                             n > 0),
-                  f"scan conjecture len {args.length}")
+                             n > 0))
 
 
 def _cmd_scan_converse(args) -> Stream:
@@ -343,14 +339,14 @@ def _cmd_scan_converse(args) -> Stream:
                   lambda n: (_scan_summary(scope, checked, flagged, classes=n),
                              f"checked {checked} codes, {n} shared-value "
                              f"classes, {flagged} beyond reflection",
-                             flagged > 0),
-                  f"scan converse len {args.length}")
+                             flagged > 0))
 
 
 def _cmd_scan_roots(args) -> Stream:
     from .scans import scan_roots
 
     _check_cap(args, "--depth", args.depth)
+    _check_cap(args, "--max-entry", args.max_entry, 10**9)
     report = scan_roots(args.max_entry, args.depth)
     survivors = [list(s) for s in report.survivors]
     summary = {"scope": report.scope, "checked": report.checked,
@@ -358,8 +354,7 @@ def _cmd_scan_roots(args) -> Stream:
     return Stream([{"root": s} for s in survivors], ["a", "b", "c"],
                   itemgetter("root"), "root {root[0]} {root[1]} {root[2]}".format_map,
                   lambda n: (summary, f"checked {report.checked} roots, {n} survivors",
-                             False),
-                  f"scan roots max-entry {args.max_entry} depth {args.depth}")
+                             False))
 
 
 def _cmd_scan_blocks(args) -> Stream:
@@ -378,8 +373,7 @@ def _cmd_scan_blocks(args) -> Stream:
                   "j={j}: block {block} (reflected {block_reflected}), alternating "
                   "{alternating} (reflected {alternating_reflected}), ok={ok}".format_map,
                   lambda n: (_scan_summary(scope, n, bad),
-                             f"checked {n} block sizes, {bad} violations", bad > 0),
-                  f"scan blocks max-j {args.max_j}")
+                             f"checked {n} block sizes, {bad} violations", bad > 0))
 
 
 def _cmd_hat_simulate(args) -> Doc:
@@ -420,6 +414,9 @@ def _cmd_hat_chain(args) -> Doc:
 def _cmd_hat_solve(args) -> Doc:
     from .threehat import PuzzleQuery, brute_solve, is_base, solve_puzzle
 
+    _check_cap(args, "--value", args.value, 10**6)
+    if args.oracle_cap is not None:
+        _check_cap(args, "--oracle-cap", args.oracle_cap, 10**6)
     query = PuzzleQuery(args.solver, args.rounds, args.value)
     result = solve_puzzle(query)
     doc = {"query": query._asdict(), "survivors": result.criteria.survivors,
@@ -468,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write payload to PATH instead of stdout")
     common.add_argument("--unsafe-no-cap", action="store_true",
-                        help=f"lift the hard length cap of {LENGTH_CAP}")
+                        help=f"lift the hard caps: {LENGTH_CAP} on lengths and "
+                        "depths, 10**9 on --max-entry, 10**6 on hat solve values")
 
     parser = argparse.ArgumentParser(
         prog="fibtree",
@@ -581,6 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -622,7 +621,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if isinstance(result, Stream):
         ms = (time.perf_counter() - t0) * 1000.0
-        print(f"{result.stopwatch}: {ms:.1f} ms", file=sys.stderr)
+        print(f"{' '.join(argv)}: {ms:.1f} ms", file=sys.stderr)
     return EXIT_FINDINGS if found else EXIT_OK
 
 

@@ -15,6 +15,7 @@ to the code possible.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from math import gcd
 from operator import add
 from typing import Iterator
@@ -152,7 +153,12 @@ def enumerate_codes(length: int) -> Iterator[str]:
     """All codes of a given length, ascending as integers with x1 most significant."""
     _require_int("length", length, 0)
     for n in range(1 << length):
-        yield format(n, f"0{length}b") if length else ""
+        yield _code_str(n, length)
+
+
+def _code_str(x: int, length: int) -> str:
+    """The code spelling x in length bits, x1 most significant."""
+    return format(x, f"0{length}b") if length else ""
 
 
 def level_rows(max_len: int,
@@ -193,9 +199,12 @@ def _rows(max_len: int, a: int, b: int) -> Iterator[tuple[array, array, array]]:
 def level_row(length: int, root: State = ROOT) -> tuple[array, array, array]:
     """The (a, b, c) rows of one length: the last level of level_rows."""
     _require_int("length", length, 0)
-    for rows in level_rows(length, root):
-        pass
-    return rows
+    return _last(level_rows(length, root))
+
+
+def _last(levels):
+    """The last item of an iterable, holding no other."""
+    return deque(levels, maxlen=1)[0]
 
 
 def enumerate_states(max_third_entry: int) -> Iterator[tuple[State, str]]:

@@ -28,15 +28,14 @@ from math import gcd
 from typing import Union
 
 from .engine import as_code, decode_state, evaluate
-from .errors import DomainError
+from .errors import DomainError, _require_int
 
 _fib_cache = [0, 1, 1]
 
 
 def fib(n: int) -> int:
     """F(1) = F(2) = 1 indexing, so the root state is (F(2), F(3), F(4))."""
-    if n < 1:
-        raise DomainError("Fibonacci index must be >= 1")
+    _require_int("Fibonacci index", n, 1)
     while len(_fib_cache) <= n:
         _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
     return _fib_cache[n]
@@ -72,22 +71,13 @@ def pure_fibonacci(code: str) -> int:
     return fib(len(code) + 4)
 
 
-def _split(code: str) -> tuple[int, str] | None:
-    """Split a valid code at its first zero into (k, rest): the run of
-    leading ones fixes k, and rest is the orienting bit followed by the
-    code of the coefficient state, reversed.  None for all-ones codes, which have no expansion."""
-    leading = code.find("0")
-    if leading < 0:
-        return None
-    return leading + 2, code[leading + 1:]
-
-
 def encode_expansion(code: str) -> Expansion:
-    code = as_code(code)
-    split = _split(code)
-    if split is None:
+    # the run of leading ones fixes k; the rest is the orienting bit
+    # followed by the code of the coefficient state, reversed
+    leading = as_code(code).find("0")
+    if leading < 0:
         raise DomainError("all-ones codes have no expansion; use pure_fibonacci")
-    k, rest = split
+    k, rest = leading + 2, code[leading + 1:]
     if not rest:
         return Expansion(1, 1, k)
     # The bit after the first zero orients the coefficient pair; the bits
@@ -100,7 +90,7 @@ def encode_expansion(code: str) -> Expansion:
 
 def decode_expansion(e: Expansion) -> str:
     """Inverse of encode_expansion on its whole domain."""
-    # the layout _split takes apart: k - 2 ones, then the first zero
+    # the layout encode_expansion reads: k - 2 ones, then the first zero
     prefix = "1" * (e.k - 2) + "0"
     if e.a == 1 and e.b == 1:
         return prefix
@@ -205,7 +195,7 @@ def _expand(code: str, memo: dict) -> ExpansionTree:
     node = memo.get(code)
     if node is not None:
         return node
-    # the layout _split takes apart: the run of leading ones fixes k, the
+    # the layout encode_expansion reads: the run of leading ones fixes k, the
     # bit after the first zero orients the pair, the rest is reversed
     leading = code.find("0")
     if leading < 0:

@@ -27,7 +27,9 @@ def weight(code: str) -> int:
     return as_code(code).count("1")
 
 
-def _runs(code: str) -> list[int]:
+def _cluster_runs(code: str) -> list[int]:
+    if not as_code(code):
+        raise DomainError("cluster metrics are undefined for the empty code")
     out: list[int] = []
     prev = ""
     for ch in code:
@@ -37,12 +39,6 @@ def _runs(code: str) -> list[int]:
             out.append(1)
             prev = ch
     return out
-
-
-def _cluster_runs(code: str) -> list[int]:
-    if not as_code(code):
-        raise DomainError("cluster metrics are undefined for the empty code")
-    return _runs(code)
 
 
 def cluster_profile(code: str) -> ClusterProfile:

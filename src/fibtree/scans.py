@@ -39,7 +39,8 @@ from math import comb, gcd
 from operator import add, and_, mul, rshift
 from typing import NamedTuple
 
-from .engine import State, _rows, level_row, level_rows, value
+from .engine import (ROOT, State, _code_str, _last, _rows, enumerate_codes,
+                     level_row, level_rows, value)
 from .errors import DomainError, _require_int
 
 
@@ -113,25 +114,6 @@ def _reversals(max_len: int):
 
 def _permuted(row: array, rev: array) -> array:
     return array(row.typecode, map(row.__getitem__, rev))
-
-
-def _split_levels(n: int) -> list[tuple[array, array, array, array, array]]:
-    """Per length 0..n: the root's rows a and b, the unit pairs' value rows
-    P and Q, and the bit reversal."""
-    return [(a, b, p, q, rev) for (a, b, _), (_, _, p), (_, _, q), rev
-            in zip(level_rows(n), _rows(n, 1, 0), _rows(n, 0, 1), _reversals(n))]
-
-
-def _code_str(x: int, length: int) -> str:
-    return format(x, f"0{length}b") if length else ""
-
-
-def _code_strs(length: int) -> list[str]:
-    """The text of every code of one length, indexed like the level rows."""
-    names = [""]
-    for _ in range(length):
-        names = [s + b for s in names for b in "01"]
-    return names
 
 
 def _coprime_pairs(n: int) -> int:
@@ -215,11 +197,11 @@ def scan_reflection(max_len: int) -> ScanReport:
     the violation records.
     """
     _require_int("max_len", max_len, 1)
-    (a0,), (b0,), _ = next(level_rows(0))
+    a0, b0, _ = ROOT
     failing = [L for L, span in enumerate(_difference_spans(max_len), 1)
                if any(x * a0 + y * b0 for x, y in span)]
     violations = []
-    levels = zip(level_rows(failing[-1]), _reversals(failing[-1])) if failing else ()
+    levels = zip(level_rows(failing[-1], ROOT), _reversals(failing[-1])) if failing else ()
     for L, ((_, _, values), rev) in enumerate(levels):
         for code, mirror in enumerate(rev):
             if code < mirror and values[code] != values[mirror]:
@@ -266,9 +248,9 @@ def iter_converse_classes(length: int):
 
 def _converse_classes(length: int):
     low, odd = length // 2, length & 1
-    split = _split_levels(length - low)
-    a_row, b_row = split[length - low][:2]
-    p, q, rev = split[low][2:]
+    a_row, b_row, _ = _last(level_rows(length - low))
+    p, q = _last(_rows(low, 1, 0))[2], _last(_rows(low, 0, 1))[2]
+    rev = _last(_reversals(low))
     # tail rows in bit-reversed order: position r holds the tail rev[r],
     # so a head h's representatives are the positions r >= h >> odd
     p, q = _permuted(p, rev), _permuted(q, rev)
@@ -282,7 +264,8 @@ def _converse_classes(length: int):
         block = map(add, map(mul, p[start:], repeat(a)), map(mul, q[start:], repeat(b)))
         deque(map(array.append, map(by_value.__getitem__, block),
                   map(base.__add__, rev[start:])), maxlen=0)
-    heads, tails, mask = _code_strs(length - low), _code_strs(low), (1 << low) - 1
+    heads, tails = list(enumerate_codes(length - low)), list(enumerate_codes(low))
+    mask = (1 << low) - 1
     for val in sorted(by_value):
         reps = by_value.pop(val)
         if len(reps) == 1:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibtree
-from fibtree import iter_chain, threehat
+from fibtree import iter_chain, scans, threehat
 from fibtree.cli import main
 
 
@@ -227,6 +227,52 @@ def test_unsafe_no_cap_lifts_the_guard(capsys):
                      "--unsafe-no-cap", "--format", "json")
     assert rc == 0
     assert json_lines(out)[-1]["checked"] == 30
+
+
+def _refuse_work(*args):
+    raise AssertionError("the command ran before its cap check")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["scan", "roots", "--max-entry", "1000000001", "--depth", "4"], "--max-entry"),
+    (["hat", "solve", "--solver", "B", "--rounds", "2", "--value", "1000001"],
+     "--value"),
+    (["hat", "solve", "--solver", "B", "--rounds", "2", "--value", "3",
+      "--oracle-cap", "1000001"], "--oracle-cap"),
+])
+def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv, name):
+    for module, attr in ((scans, "scan_roots"), (threehat, "solve_puzzle"),
+                         (threehat, "brute_solve")):
+        monkeypatch.setattr(module, attr, _refuse_work)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert f"error: {name} 100000" in err and "--unsafe-no-cap" in err
+
+
+def test_unsafe_no_cap_lifts_the_size_caps(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(scans, "scan_roots", lambda n, depth: (
+        calls.append(n) or scans.RootScanReport("s", 0, [])))
+    monkeypatch.setattr(threehat, "solve_puzzle", lambda q: (
+        calls.append(q.value) or threehat.SolveResult(
+            q, threehat.CriteriaReport(q, [], {}, 0), [])))
+    monkeypatch.setattr(threehat, "brute_solve",
+                        lambda q, cap: calls.append(cap) or [])
+    rc, _, _ = run(capsys, "scan", "roots", "--max-entry", "1000000001",
+                   "--depth", "4", "--unsafe-no-cap", "--format", "json")
+    assert rc == 0
+    rc, _, _ = run(capsys, "hat", "solve", "--solver", "B", "--rounds", "2",
+                   "--value", "1000001", "--oracle-cap", "1000002",
+                   "--unsafe-no-cap", "--format", "json")
+    assert rc == 0
+    assert calls == [1000000001, 1000001, 1000002]
+
+
+def test_scan_timing_line_is_its_argv(capsys):
+    argv = ["scan", "reflection", "--max-len", "6", "--format", "json"]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0
+    assert re.fullmatch(re.escape(" ".join(argv)) + r": \d+\.\d ms\n", err)
 
 
 def test_scan_output_is_identical_across_jobs(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -39,6 +40,14 @@ def test_fib_indexing_anchors():
         assert fib(n) == fib_by_addition(n)
     with pytest.raises(DomainError):
         fib(0)
+
+
+# each equals a valid index, which coercion would accept; a float as large
+# as 1e300 would make an unchecked fib extend its cache without end
+@pytest.mark.parametrize("n", [True, 2.0, "3", Fraction(3)], ids=repr)
+def test_fib_refuses_non_int_indices(n):
+    with pytest.raises(DomainError, match="Fibonacci index must be an integer"):
+        fib(n)
 
 
 @pytest.mark.parametrize("code,a,b,k", [

@@ -26,7 +26,7 @@ from fibtree import (
     weight,
 )
 from fibtree import scans
-from fibtree.engine import _rows
+from fibtree.engine import _code_str, _rows
 from oracle import conjecture_pairs_by_enumeration, totients_by_sieve, value_by_matrices
 
 
@@ -50,8 +50,7 @@ def test_reflection_scan_is_clean():
 
 def test_reflection_scan_reports_each_violation(monkeypatch):
     root = (1, 3, 4)  # F[01] = 11 but F[10] = 10: reflection fails from length 2
-    monkeypatch.setattr(scans, "level_rows",
-                        lambda max_len: level_rows(max_len, root))
+    monkeypatch.setattr(scans, "ROOT", root)
     expected = []
     for length in range(1, 7):
         for code in enumerate_codes(length):
@@ -94,9 +93,8 @@ def test_span_verdict_matches_value_comparison(monkeypatch):
                               for code in enumerate_codes(L))]
             assert failing == [L for L, span in enumerate(spans, 1)
                                if any(x * a0 + y * b0 for x, y in span)], root
-            # the scan reads the same root through its level_rows seam
-            monkeypatch.setattr(scans, "level_rows",
-                                lambda max_len: level_rows(max_len, root))
+            # the scan reads the same root through its ROOT seam
+            monkeypatch.setattr(scans, "ROOT", root)
             report = scans.scan_reflection(10)
             assert sorted({v["length"] for v in report.violations}) == failing, root
 
@@ -190,8 +188,9 @@ def test_converse_classes_replay():
 
 def test_code_names_match_format():
     for length in range(1, 13):
-        assert scans._code_strs(length) == [format(i, f"0{length}b")
-                                            for i in range(1 << length)]
+        names = [_code_str(i, length) for i in range(1 << length)]
+        assert list(enumerate_codes(length)) == names == [format(i, f"0{length}b")
+                                                          for i in range(1 << length)]
 
 
 def _converse_by_matrices(length):
