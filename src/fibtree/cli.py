@@ -3,11 +3,16 @@
 One binary, subcommand per operation.  Each command computes its result
 and returns it as data, in one of two shapes:
 
-- a Doc: a function that builds its JSON object, its text lines, and
-  its CSV header and rows;
+- a Doc: a function that returns its compact JSON object as pieces, its
+  text lines, and its CSV header and rows;
 - a Stream: scan records, lazy and never materialized, with a CSV
-  header and row function, a text-line function, and a summary
-  function that gets the record count once the records run out.
+  header and row function, a text-line function, a JSON-line function,
+  and a summary function that gets the record count once the records
+  run out.
+
+The converse and conjecture records and the hat turns and links fill
+%-templates of ints, bools, 0/1 codes and p/q fractions, which need no
+escaping, instead of the compact encoder _dumps: the bytes are the same.
 
 One renderer, _render, writes either shape as text, JSON or CSV, and
 main owns the rendering, a scan's stderr timing line, labelled by its
@@ -54,14 +59,14 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class Doc(NamedTuple):
-    """A whole result: a function that builds the JSON object, the text
-    lines and the CSV table.
+    """A whole result: a function that returns the compact JSON object as
+    pieces, the text lines and the CSV table.
 
     _render calls json or reads text or rows once, for the format asked,
     so a command with a long payload passes generators and builds only
-    that one.
+    that one; its JSON pieces are a head, one piece per item and a tail.
     """
-    json: Callable[[], dict]
+    json: Callable[[], Iterable[str]]
     text: Iterable[str]
     header: list[str]
     rows: Iterable
@@ -71,13 +76,16 @@ class Stream(NamedTuple):
     """A scan result: records written one per line as they come, then a
     summary.
 
-    summary(count) gets the number of records written and returns the
-    summary record, the summary sentence, and whether the scan found anything.
+    row, text and json each map one record to its CSV row, text line or
+    JSON line.  summary(count) gets the number of records written and
+    returns the summary record, the summary sentence, and whether the
+    scan found anything.
     """
-    records: Iterable[dict]
+    records: Iterable
     header: list[str]
     row: Callable
     text: Callable
+    json: Callable
     summary: Callable
 
 
@@ -118,7 +126,8 @@ def _render(result: Doc | Stream, fmt: str, out) -> bool:
         table.writerow(result.header)
     if isinstance(result, Doc):
         if fmt == "json":
-            write(_dumps(result.json()) + "\n")
+            out.writelines(result.json())
+            write("\n")
         elif fmt == "csv":
             table.writerows(result.rows)
         else:
@@ -129,7 +138,7 @@ def _render(result: Doc | Stream, fmt: str, out) -> bool:
         for count, row in enumerate(map(result.row, result.records), 1):
             table.writerow(row)
     else:
-        line_of = _dumps if fmt == "json" else result.text
+        line_of = result.json if fmt == "json" else result.text
         for count, line in enumerate(map(line_of, result.records), 1):
             write(line + "\n")
     record, sentence, found = result.summary(count)
@@ -168,14 +177,14 @@ def _parse_root(text: str | None):
 
 def _cmd_eval(args) -> Doc:
     a, b, c = evaluate(as_code(args.code), _parse_root(args.root))
-    return Doc(lambda: {"state": [a, b, c], "value": c},
+    return Doc(lambda: [_dumps({"state": [a, b, c], "value": c})],
                [f"state: {a} {b} {c}", f"value: {c}"],
                ["a", "b", "c", "value"], [[a, b, c, c]])
 
 
 def _cmd_trace(args) -> Doc:
     states = trace(as_code(args.code), _parse_root(args.root))
-    return Doc(lambda: {"code": args.code, "states": states},
+    return Doc(lambda: [_dumps({"code": args.code, "states": states})],
                ["{}: {} {} {}".format(i, *s) for i, s in enumerate(states)],
                ["step", "a", "b", "c"],
                [[i, *s] for i, s in enumerate(states)])
@@ -185,8 +194,8 @@ def _cmd_reflect(args) -> Doc:
     code = as_code(args.code)
     mirrored = reflect(code)
     val, mval = value(code), value(mirrored)
-    return Doc(lambda: {"code": code, "reflected": mirrored, "value": val,
-                        "reflected_value": mval},
+    return Doc(lambda: [_dumps({"code": code, "reflected": mirrored, "value": val,
+                                "reflected_value": mval})],
                [f"code: {code} value: {val}", f"reflected: {mirrored} value: {mval}"],
                ["code", "reflected", "value", "reflected_value"],
                [[code, mirrored, val, mval]])
@@ -199,7 +208,8 @@ def _cmd_metrics(args) -> Doc:
     clusters = list(cluster_profile(code).per_position)
     w, avg, var = weight(code), _frac(cluster_average(code)), _frac(cluster_variance(code))
     spaced = " ".join(map(str, clusters))
-    return Doc(lambda: {"weight": w, "avg": avg, "var": var, "clusters": clusters},
+    return Doc(lambda: [_dumps({"weight": w, "avg": avg, "var": var,
+                                "clusters": clusters})],
                [f"weight: {w}", f"clusters: {spaced}", f"avg: {avg}", f"var: {var}"],
                ["weight", "avg", "var", "clusters"], [[w, avg, var, spaced]])
 
@@ -216,9 +226,12 @@ def _cmd_expand(args) -> Doc | int:
     header = ["code", "a", "b", "k", "value"]
     if args.inverse is not None:
         e = Expansion(*args.inverse)
+        # fib caches every F(n) up to K + 2: memory grows with K**2
+        _check_cap(args, "--inverse K", e.k, 10**4)
+        _check_cap(args, "decoded code length", e.code_length(), 10**6)
         code = decode_expansion(e)
-        return Doc(lambda: {"a": e.a, "b": e.b, "k": e.k, "code": code,
-                            "value": e.value()},
+        return Doc(lambda: [_dumps({"a": e.a, "b": e.b, "k": e.k, "code": code,
+                                    "value": e.value()})],
                    [f"code: {code}",
                     f"expansion: {e.a}*F({e.k}) + {e.b}*F({e.k + 2})",
                     f"value: {e.value()}"],
@@ -249,7 +262,7 @@ def _cmd_expand(args) -> Doc | int:
         text.append(f"tree: {_dumps(doc['tree'])}")
         text.append("products: " + " + ".join(
             "*".join(f"F({i})" for i in t) for t in products))
-    return Doc(lambda: doc, text, header, [row])
+    return Doc(lambda: [_dumps(doc)], text, header, [row])
 
 
 def _cmd_sb_frac(args) -> Doc:
@@ -257,7 +270,8 @@ def _cmd_sb_frac(args) -> Doc:
 
     code = as_code(args.code)
     uq, vq = _frac(u(code)), _frac(v(code))
-    return Doc(lambda: {"code": code, "u": uq, "v": vq}, [f"u: {uq}", f"v: {vq}"],
+    return Doc(lambda: [_dumps({"code": code, "u": uq, "v": vq})],
+               [f"u: {uq}", f"v: {vq}"],
                ["code", "u", "v"], [[code, uq, vq]])
 
 
@@ -270,7 +284,7 @@ def _cmd_sb_check(args) -> Stream:
     scope = f"sb-check:depth={args.depth}"
     header = ["length", "equal", "state_side", "path_side"]
     return Stream(verdicts, header, itemgetter(*header),
-                  "c={length}: equal={equal} ({state_side} fractions)".format_map,
+                  "c={length}: equal={equal} ({state_side} fractions)".format_map, _dumps,
                   lambda n: (_scan_summary(scope, args.depth, bad),
                              f"checked {args.depth} generations, {bad} violations",
                              bad > 0))
@@ -285,7 +299,7 @@ def _cmd_scan_reflection(args) -> Stream:
     header = ["length", "code", "reflected", "value", "reflected_value"]
     return Stream(report.violations, header, itemgetter(*header),
                   "len {length}: {code} -> {value} but {reflected} -> "
-                  "{reflected_value}".format_map,
+                  "{reflected_value}".format_map, _dumps,
                   lambda n: (_scan_summary(scope, report.checked, n),
                              f"checked {report.checked} codes, {n} violations",
                              n > 0))
@@ -305,11 +319,16 @@ def _cmd_scan_conjecture(args) -> Stream:
         scope = f"conjecture:len={args.length}"
     header = ["length", "weight", "low_var_code", "high_var_code",
               "low_var", "high_var", "low_var_value", "high_var_value"]
+    row = itemgetter(*header)
     return Stream(iter_conjecture_violations(args.length, weight_filter=args.weight),
-                  header, itemgetter(*header),
+                  header, row,
                   "len {length} weight {weight}: var {low_var} value {low_var_value} "
                   "vs var {high_var} value {high_var_value} "
                   "(codes {low_var_code}, {high_var_code})".format_map,
+                  # the library's records hold their keys in header order
+                  lambda it: '{"length":%d,"weight":%d,"low_var_code":"%s",'
+                  '"high_var_code":"%s","low_var":"%s","high_var":"%s",'
+                  '"low_var_value":%d,"high_var_value":%d}' % row(it),
                   lambda n: (_scan_summary(scope, checked, n),
                              f"checked {checked} codes, {n} counterexample pairs",
                              n > 0))
@@ -326,16 +345,18 @@ def _cmd_scan_converse(args) -> Stream:
         nonlocal flagged
         for cls in classes:
             flagged += cls.beyond_reflection
-            yield cls.to_jsonable()
+            yield cls
 
     checked = 1 << args.length
     scope = f"converse:len={args.length}"
     return Stream(records(), ["value", "codes", "beyond_reflection"],
-                  lambda it: [it["value"], " ".join(it["codes"]),
-                              it["beyond_reflection"]],
-                  lambda it: (f"value {it['value']}: {' '.join(it['codes'])}"
-                              + (" [beyond reflection]"
-                                 if it["beyond_reflection"] else "")),
+                  lambda c: [c.value, " ".join(c.codes), c.beyond_reflection],
+                  lambda c: (f"value {c.value}: {' '.join(c.codes)}"
+                             + (" [beyond reflection]" if c.beyond_reflection else "")),
+                  # a class has two or more codes, so the list is never empty
+                  lambda c: '{"value":%d,"codes":["%s"],"beyond_reflection":%s}' % (
+                      c.value, '","'.join(c.codes),
+                      "true" if c.beyond_reflection else "false"),
                   lambda n: (_scan_summary(scope, checked, flagged, classes=n),
                              f"checked {checked} codes, {n} shared-value "
                              f"classes, {flagged} beyond reflection",
@@ -353,6 +374,7 @@ def _cmd_scan_roots(args) -> Stream:
                "survivors": survivors, "elapsed_ms": None}
     return Stream([{"root": s} for s in survivors], ["a", "b", "c"],
                   itemgetter("root"), "root {root[0]} {root[1]} {root[2]}".format_map,
+                  _dumps,
                   lambda n: (summary, f"checked {report.checked} roots, {n} survivors",
                              False))
 
@@ -372,6 +394,7 @@ def _cmd_scan_blocks(args) -> Stream:
     return Stream(items, header, itemgetter(*header),
                   "j={j}: block {block} (reflected {block_reflected}), alternating "
                   "{alternating} (reflected {alternating_reflected}), ok={ok}".format_map,
+                  _dumps,
                   lambda n: (_scan_summary(scope, n, bad),
                              f"checked {n} block sizes, {bad} violations", bad > 0))
 
@@ -382,11 +405,13 @@ def _cmd_hat_simulate(args) -> Doc:
     t = dialogue_simulate((args.a, args.b, args.c))
 
     def doc():
-        turns = [{"turn": r.turn, "player": r.player, "action": r.action}
-                 for r in t.turns]
-        turns[-1]["value"] = t.value
-        return {"config": t.config, "turns": turns, "announcer": t.announcer,
-                "turn": t.turn, "round": t.round, "value": t.value}
+        yield '{"config":%s,"turns":[' % _dumps(t.config)
+        # every turn passes but the last, the only one with a value
+        for r in t.turns:
+            yield ('{"turn":%d,"player":"%s","action":"%s"},' % r[:3]
+                   if r.value is None else _dumps(r._asdict()))
+        yield ('],"announcer":"%s","turn":%d,"round":%d,"value":%d}'
+               % (t.announcer, t.turn, t.round, t.value))
 
     lines = chain((f"turn {r.turn}: {r.player} announces {r.value}"
                    if r.action == "announce" else f"turn {r.turn}: {r.player} passes"
@@ -404,9 +429,15 @@ def _cmd_hat_chain(args) -> Doc:
     cfg = (args.a, args.b, args.c)
     length = chain_length(cfg)
     links = iter_chain(cfg) if args.full else islice(iter_chain(cfg), length)
-    return Doc(lambda: {"config": cfg, "abbreviated": not args.full,
-                        "chain": list(links), "length": length},
-               chain(("{} {} {}".format(*s) for s in links), [f"length: {length}"]),
+
+    def doc():
+        pieces = map("[%d,%d,%d]".__mod__, links)
+        yield '{"config":%s,"abbreviated":%s,"chain":[%s' % (
+            _dumps(cfg), _dumps(not args.full), next(pieces, ""))
+        yield from map(",".__add__, pieces)
+        yield '],"length":%d}' % length
+
+    return Doc(doc, chain(("{} {} {}".format(*s) for s in links), [f"length: {length}"]),
                ["index", "a", "b", "c"],
                ([i, *s] for i, s in enumerate(links)))
 
@@ -450,7 +481,8 @@ def _cmd_hat_solve(args) -> Doc:
             *s.config, " [base]" if is_base(s.config) else "")
             for s in extra)
         rows.extend([*s.config, s.announcer, s.round, s.turn] for s in extra)
-    return Doc(lambda: doc, lines, ["wa", "wb", "wc", "announcer", "round", "turn"],
+    return Doc(lambda: [_dumps(doc)], lines,
+               ["wa", "wb", "wc", "announcer", "round", "turn"],
                rows)
 
 
@@ -466,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write payload to PATH instead of stdout")
     common.add_argument("--unsafe-no-cap", action="store_true",
                         help=f"lift the hard caps: {LENGTH_CAP} on lengths and "
-                        "depths, 10**9 on --max-entry, 10**6 on hat solve values")
+                        "depths, 10**9 on --max-entry, 10**6 on hat solve values, "
+                        "10**4 on expand --inverse K and 10**6 on its code length")
 
     parser = argparse.ArgumentParser(
         prog="fibtree",

@@ -62,6 +62,16 @@ class Expansion:
     def value(self) -> int:
         return self.a * fib(self.k) + self.b * fib(self.k + 2)
 
+    def code_length(self) -> int:
+        """len(decode_expansion(self)) in O(log b) steps, building nothing:
+        k - 2 plus the sum of the quotients of Euclid's algorithm on (a, b),
+        as decode_state spells each quotient in bits."""
+        n, a, b = self.k - 2, self.a, self.b
+        while b:
+            n += a // b
+            a, b = b, a % b
+        return n
+
 
 def pure_fibonacci(code: str) -> int:
     """Value of an all-ones code: a single Fibonacci number F(len + 4)."""

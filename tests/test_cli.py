@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import fibtree
-from fibtree import iter_chain, scans, threehat
-from fibtree.cli import main
+from fibtree import expansion, iter_chain, scans, threehat
+from fibtree.cli import _build_parser, _dumps, main
 
 
 def run(capsys, *argv):
@@ -196,6 +196,34 @@ def test_scan_converse_flags_classes(capsys):
     assert docs[-1]["classes"] == 11
 
 
+# the two scans with the most records write each JSON line from a
+# template; the library's own form through the encoder is the reference
+def _stream(*argv):
+    args = _build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+def test_converse_json_lines_match_the_encoder():
+    classes = 0
+    for length in range(1, 15):
+        stream = _stream("scan", "converse", "--len", str(length))
+        for cls in stream.records:
+            assert stream.json(cls) == _dumps(cls.to_jsonable())
+            classes += 1
+    assert classes > 1726  # length 14 alone has 1,726
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_conjecture_json_lines_match_the_encoder(length):
+    pairs = 0
+    for weight in [[], *(["--weight", str(w)] for w in range(1, length + 1))]:
+        stream = _stream("scan", "conjecture", "--len", str(length), *weight)
+        for record in stream.records:
+            assert stream.json(record) == _dumps(record)
+            pairs += 1
+    assert pairs > 0 or length < 5  # length 5 has the first pairs
+
+
 def test_scan_roots(capsys):
     rc, out, _ = run(capsys, "scan", "roots", "--max-entry", "10",
                      "--depth", "6", "--format", "json")
@@ -239,10 +267,14 @@ def _refuse_work(*args):
      "--value"),
     (["hat", "solve", "--solver", "B", "--rounds", "2", "--value", "3",
       "--oracle-cap", "1000001"], "--oracle-cap"),
+    (["expand", "--inverse", "1", "1", "1000000"], "--inverse K"),
+    # K = 2 and the Euclid quotients 0 and 1000001 of (1, 1000001)
+    (["expand", "--inverse", "1", "1000001", "2"], "decoded code length"),
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv, name):
     for module, attr in ((scans, "scan_roots"), (threehat, "solve_puzzle"),
-                         (threehat, "brute_solve")):
+                         (threehat, "brute_solve"), (expansion, "fib"),
+                         (expansion, "decode_state")):
         monkeypatch.setattr(module, attr, _refuse_work)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
@@ -266,6 +298,10 @@ def test_unsafe_no_cap_lifts_the_size_caps(capsys, monkeypatch):
                    "--unsafe-no-cap", "--format", "json")
     assert rc == 0
     assert calls == [1000000001, 1000001, 1000002]
+    rc, out, _ = run(capsys, "expand", "--inverse", "1", "1000001", "2",
+                     "--unsafe-no-cap", "--format", "csv")
+    code = "01" + "0" * 999999
+    assert (rc, out) == (0, f"code,a,b,k,value\n{code},1,1000001,2,3000004\n")
 
 
 def test_scan_timing_line_is_its_argv(capsys):
@@ -319,10 +355,12 @@ def test_failed_command_leaves_out_file_alone(capsys, tmp_path, argv):
 
 # eval of 21,000 one bits reaches F(21004), and expand --inverse 1 1 30000
 # a*F(k) + b*F(k+2) with k = 30000: both past Python's default limit of
-# 4300 decimal digits for str() of an int
+# 4300 decimal digits for str() of an int.  K = 30000 passes the cap on K,
+# which refuses it first unless lifted.
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [("eval", "1" * 21000),
-                                  ("expand", "--inverse", "1", "1", "30000")],
+                                  ("expand", "--inverse", "1", "1", "30000",
+                                   "--unsafe-no-cap")],
                          ids=["eval", "expand-inverse"])
 def test_result_past_the_digit_limit_is_a_domain_error(capsys, tmp_path, argv, fmt):
     rc, out, err = run(capsys, *argv, "--format", fmt)
@@ -577,6 +615,12 @@ GOLDEN_DIGESTS = [
     ("scan converse --len 16", "csv", 3,
      "60a00ffe88a3a19dae9c8ce8b220ed6558680eff48cdcbfd1ab292d35e16dd36",
      "9b25db15adf7fc00b8983e6f31d8a85e1974f759107ccef05fa79349742f940d"),
+    ("scan converse --len 12", "json", 3,
+     "f53950b2047bebfd5da8adb67cca8d45c7f5a61766773c47204281854a48e9f0",
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("scan conjecture --len 9", "json", 3,
+     "7e748085dceb35b30c006b8bcd4cbdeb7ca57a2c3b4020d12f0a271b705fe9c8",
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("scan roots --max-entry 400 --depth 12", "text", 0,
      "72c70cc4774c41be4e1e8f73b52b0766b83852e6eed048d19351dcec7f03fc77",
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
@@ -835,15 +879,15 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
 @pytest.mark.parametrize("command, bound_mb", [
-    # 150,000 turns: the JSON object peaks near 64 MB; with a list of
-    # turn records as well it took 83 MB, and with every text line and
-    # CSV row too, 108 MB
-    ("hat simulate 1 100000 100001 --format json", 95),
-    # text and CSV build each turn record and chain link as it is written,
-    # so they stay near the interpreter's own 16 MB; a list of turn
-    # records and its JSON object took 67 MB, a list of links 36 MB
+    # every format builds each turn record and chain link as it is
+    # written, JSON as one piece of the object, so all stay near the
+    # interpreter's own 16 MB; over 150,000 turns the whole JSON object
+    # took 64 MB, a list of turn records and its JSON object 67 MB, and a
+    # list of links 36 MB
+    ("hat simulate 1 100000 100001 --format json", 32),
     ("hat simulate 1 100000 100001 --format text", 32),
     ("hat simulate 1 100000 100001 --format csv", 32),
+    ("hat chain 1 100000 100001 --full --format json", 32),
     ("hat chain 1 100000 100001 --full --format csv", 32),
 ])
 def test_hat_peak_rss(command, bound_mb):

@@ -82,6 +82,7 @@ def test_round_trip_codes_to_expansions():
             assert gcd(e.a, e.b) == 1
             assert e.value() == value(code)
             assert decode_expansion(e) == code
+            assert e.code_length() == len(code)
 
 
 def test_round_trip_expansions_to_codes():
@@ -94,6 +95,7 @@ def test_round_trip_expansions_to_codes():
                 code = decode_expansion(e)
                 assert encode_expansion(code) == e
                 assert value(code) == e.value()
+                assert e.code_length() == len(code)
 
 
 @settings(max_examples=150)
