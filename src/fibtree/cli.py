@@ -13,6 +13,7 @@ and returns it as data, in one of two shapes:
 The converse and conjecture records and the hat turns and links fill
 %-templates of ints, bools, 0/1 codes and p/q fractions, which need no
 escaping, instead of the compact encoder _dumps: the bytes are the same.
+Conjecture text lines fill one too, instead of str.format_map.
 
 One renderer, _render, writes either shape as text, JSON or CSV, and
 main owns the rendering, a scan's stderr timing line, labelled by its
@@ -226,7 +227,8 @@ def _cmd_expand(args) -> Doc | int:
     header = ["code", "a", "b", "k", "value"]
     if args.inverse is not None:
         e = Expansion(*args.inverse)
-        # fib caches every F(n) up to K + 2: memory grows with K**2
+        # the value has about 0.209 K digits, written out in full; past
+        # K = 20,575 it passes the interpreter's 4,300-digit limit
         _check_cap(args, "--inverse K", e.k, 10**4)
         _check_cap(args, "decoded code length", e.code_length(), 10**6)
         code = decode_expansion(e)
@@ -320,11 +322,12 @@ def _cmd_scan_conjecture(args) -> Stream:
     header = ["length", "weight", "low_var_code", "high_var_code",
               "low_var", "high_var", "low_var_value", "high_var_value"]
     row = itemgetter(*header)
+    text_row = itemgetter("length", "weight", "low_var", "low_var_value", "high_var",
+                          "high_var_value", "low_var_code", "high_var_code")
     return Stream(iter_conjecture_violations(args.length, weight_filter=args.weight),
                   header, row,
-                  "len {length} weight {weight}: var {low_var} value {low_var_value} "
-                  "vs var {high_var} value {high_var_value} "
-                  "(codes {low_var_code}, {high_var_code})".format_map,
+                  lambda it: "len %d weight %d: var %s value %d vs var %s value %d "
+                  "(codes %s, %s)" % text_row(it),
                   # the library's records hold their keys in header order
                   lambda it: '{"length":%d,"weight":%d,"low_var_code":"%s",'
                   '"high_var_code":"%s","low_var":"%s","high_var":"%s",'

@@ -30,15 +30,29 @@ from typing import Union
 from .engine import as_code, decode_state, evaluate
 from .errors import DomainError, _require_int
 
-_fib_cache = [0, 1, 1]
+
+def _doubling(n: int) -> tuple[int, int]:
+    """(F(n), F(n + 1)) for n >= 0 by fast doubling, one bit of n at a time
+    from the top: F(2m) = F(m)(2F(m + 1) - F(m)), F(2m + 1) = F(m)^2 +
+    F(m + 1)^2.  O(log n) multiplications, and nothing is kept."""
+    f, g = 0, 1
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
+
+
+# F(0), ..., F(127): a small index is one read of a fixed table
+_SMALL = tuple(_doubling(n)[0] for n in range(128))
 
 
 def fib(n: int) -> int:
-    """F(1) = F(2) = 1 indexing, so the root state is (F(2), F(3), F(4))."""
+    """F(1) = F(2) = 1 indexing, so the root state is (F(2), F(3), F(4)).
+
+    A table read below 128, fast doubling above; no call keeps anything."""
     _require_int("Fibonacci index", n, 1)
-    while len(_fib_cache) <= n:
-        _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[n]
+    return _SMALL[n] if n < 128 else _doubling(n)[0]
 
 
 @dataclass(frozen=True)
@@ -129,23 +143,30 @@ ExpansionTree = Union[Leaf, SumNode]
 def tree_value(node: ExpansionTree) -> int:
     """Value of a tree; linear in its distinct nodes, since a shared sum
     node is evaluated once per call and a leaf, shared or not, is a lookup
-    of its Fibonacci number.  A leaf index or k below 1 raises DomainError."""
-    F = _fib_cache
+    of its Fibonacci number.  Fibonacci numbers past the table are made
+    once per call and dropped with it.  A leaf index or k below 1 raises
+    DomainError."""
+    T = _SMALL
     memo: dict[int, int] = {}
+    big: dict[int, int] = {}
+
+    def F(i: int) -> int:
+        f = big.get(i)
+        if f is None:
+            f = big[i] = fib(i)  # raises below 1
+        return f
 
     def walk(n: ExpansionTree) -> int:
         cls = type(n)
         # the exact classes first; isinstance only for a subclass
         if cls is Leaf or (cls is not SumNode and isinstance(n, Leaf)):
             i = n.index
-            return F[i] if 0 < i < len(F) else fib(i)
+            return T[i] if 0 < i < 128 else F(i)
         v = memo.get(id(n))
         if v is None:
             k = n.k
-            if not 0 < k < len(F) - 2:
-                fib(k)      # raises below 1
-                fib(k + 2)  # extends F to k + 2
-            v = memo[id(n)] = walk(n.a) * F[k] + walk(n.b) * F[k + 2]
+            fk, fk2 = (T[k], T[k + 2]) if 0 < k < 126 else (F(k), F(k + 2))
+            v = memo[id(n)] = walk(n.a) * fk + walk(n.b) * fk2
         return v
 
     return walk(node)

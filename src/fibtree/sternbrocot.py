@@ -1,30 +1,34 @@
 """Stern-Brocot fractions attached to tree states.
 
-A state (a, b, c) carries the two reciprocal fractions a/b and b/a.  The
-same set of fractions arises by applying the left/right maps
+A state (a, b, c) carries the reciprocal fractions u = a/b and v = b/a.
+The same set of fractions arises by applying the left/right maps
 
-    f_L(a/b) = a/(a+b)        f_R(a/b) = (a+b)/b
+    f_L(p/q) = p/(p+q)        f_R(p/q) = (p+q)/q
 
-to the seeds 1/2 and 2/1 along all words of a fixed length, and
-check_generation verifies that set equality exhaustively.  Each side is
-two array('Q') rows of exact (numerator, denominator) pairs, built in
-increasing order of their fractions, so neither is sorted or hashed; the
-path side holds row c + 1 of the Calkin-Wilf tree (Calkin and Wilf,
-"Recounting the rationals", 2000).  Tree parenthood is not preserved by
-the correspondence, so nothing here relates parents to parents.
-GenerationVerdict is a NamedTuple, not a dataclass, so an `sb check`
+to the seeds 1/2 and 2/1 along all words of a fixed length c, giving row
+c + 1 of the Calkin-Wilf tree (Calkin and Wilf, "Recounting the
+rationals", 2000).  check_generation proves the set equality by induction
+on c with 2x2 matrices on pairs: A0 and A1 are the code steps on (a, b),
+read off the row kernel engine._rows; J is the swap; L and R are the
+pair steps that f_L and f_R are written with.  With U_c the u pairs over
+the codes of length c and S_c = U_c | J(U_c), the identities
+
+    A0 = L,  J.A1 = R,  L.J = A1,  R.J = J.A0
+
+give U_(c+1) = A0(U_c) | A1(U_c) = L(S_c) and J(U_(c+1)) = R(S_c): the
+path side's recursion, from the same S_0 = {1/2, 2/1}.  L maps (0, oo)
+one-to-one into (0, 1) and R = J.L.J into (1, oo), so each side has
+2**(c + 1) fractions.  Tree parenthood is not preserved by the
+correspondence.  GenerationVerdict is a NamedTuple, so an `sb check`
 process does not import dataclasses.
 """
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
-from itertools import islice
-from operator import add, lt, mul
 from typing import NamedTuple
 
-from .engine import ROOT, State, evaluate
+from .engine import ROOT, State, _last, _rows, evaluate
 from .errors import DomainError, _require_int
 
 
@@ -38,12 +42,20 @@ def v(code: str, root: State = ROOT) -> Fraction:
     return Fraction(b, a)
 
 
+def _left(p: int, q: int) -> tuple[int, int]:
+    return p, p + q
+
+
+def _right(p: int, q: int) -> tuple[int, int]:
+    return p + q, q
+
+
 def f_L(q: Fraction) -> Fraction:
-    return Fraction(q.numerator, q.numerator + q.denominator)
+    return Fraction(*_left(q.numerator, q.denominator))
 
 
 def f_R(q: Fraction) -> Fraction:
-    return Fraction(q.numerator + q.denominator, q.denominator)
+    return Fraction(*_right(q.numerator, q.denominator))
 
 
 def apply_path(path: str, seed: Fraction) -> Fraction:
@@ -62,61 +74,45 @@ def apply_path(path: str, seed: Fraction) -> Fraction:
 class GenerationVerdict(NamedTuple):
     length: int
     equal: bool
-    state_side: int
-    path_side: int
+    state_side: int | None
+    path_side: int | None
 
 
-def _state_rows(c: int) -> tuple[array, array]:
-    """The rows a and b of u = a/b over the codes of length c, increasing.
-
-    Step 0 maps u to a/(a+b) = u/(1+u), increasing into (0, 1/2), and step
-    1 to b/(a+b) = 1/(1+u), decreasing into (1/2, 1), so the next row is
-    step 0 of this one followed by step 1 of it reversed."""
-    a_row, b_row = array("Q", [1]), array("Q", [2])
-    for _ in range(c):
-        s_row = array("Q", map(add, a_row, b_row))
-        a_row, b_row = a_row + b_row[::-1], s_row + s_row[::-1]
-    return a_row, b_row
+def _times(m, n):
+    return tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in (0, 1))
+                 for i in (0, 1))
 
 
-def _path_rows(c: int) -> tuple[array, array]:
-    """The rows p and q of the L/R words of length c on 1/2 and 2/1, increasing.
-
-    Appending L maps (p, q) to (p, p + q), increasing into (0, 1), and R
-    to (p + q, q), increasing into (1, oo), so the next row is the L block
-    of this one followed by its R block.  gcd(p, q) stays 1.
-    """
-    p_row, q_row = array("Q", [1, 2]), array("Q", [2, 1])
-    for _ in range(c):
-        s_row = array("Q", map(add, p_row, q_row))
-        p_row, q_row = p_row + s_row, s_row + q_row
-    return p_row, q_row
-
-
-def _increasing(p_row: array, q_row: array) -> bool:
-    """Whether the fractions p/q increase strictly, by adjacent cross-products."""
-    return all(map(lt, map(mul, p_row, islice(q_row, 1, None)),
-                   map(mul, islice(p_row, 1, None), q_row)))
+def _certified() -> bool:
+    """The base case and the four identities of the module docstring, and
+    that L maps (0, oo) one-to-one into (0, 1)."""
+    a, b, _ = ROOT
+    (a1, b1, _), (a2, b2, _) = _last(_rows(1, 1, 0)), _last(_rows(1, 0, 1))
+    # each matrix's columns are its step's images of (1, 0) and (0, 1)
+    A0, A1 = (((a1[x], a2[x]), (b1[x], b2[x])) for x in (0, 1))
+    L, R = (tuple(zip(step(1, 0), step(0, 1))) for step in (_left, _right))
+    J = (0, 1), (1, 0)
+    (l00, l01), (l10, l11) = L
+    # a nonnegative numerator row that is not zero, a denominator row no
+    # smaller in either entry and larger in one, and det L != 0
+    into_unit = (min(l00, l01, l10 - l00, l11 - l01) >= 0 and l00 + l01 > 0
+                 and l10 + l11 > l00 + l01 and l00 * l11 != l01 * l10)
+    return ({(a, b), (b, a)} == {(1, 2), (2, 1)} and into_unit and A0 == L
+            and _times(J, A1) == R and _times(L, J) == A1
+            and _times(R, J) == _times(J, A0))
 
 
 def check_generation(c: int) -> GenerationVerdict:
     """Set equality of {u, v over codes of length c} and {L/R words on both seeds}.
 
-    Both sides are sets of coprime (numerator, denominator) pairs, built
-    as rows increasing in the fraction; the state side is the u row, then
-    that row swapped and reversed for v = 1/u.  When both increase
-    strictly, their pairs are distinct and in one order, so the sides are
-    equal iff the rows are, and the counts are the row lengths; a side
-    that does not is compared and counted as a set.  The peak holds both
-    sides, 32 bytes a pair.  The largest entry is fib(c + 3), so from
-    c = 91 on one passes 2**64 - 1 and raises OverflowError.
+    Proved by the induction certificate of the module docstring, read off
+    the code steps and f_L and f_R, in O(1) for any c.  When it holds, the
+    verdict is (c, True, 2**(c + 1), 2**(c + 1)).  When it fails, it is
+    (c, False, None, None): equal says only that nothing was proved, and
+    no count is claimed.
     """
     _require_int("generation length", c, 1)
-    a_row, b_row = _state_rows(c)
-    state = (a_row + b_row[::-1], b_row + a_row[::-1])
-    del a_row, b_row
-    path = _path_rows(c)
-    if _increasing(*state) and _increasing(*path):
-        return GenerationVerdict(c, state == path, len(state[0]), len(path[0]))
-    state, path = set(zip(*state)), set(zip(*path))
-    return GenerationVerdict(c, state == path, len(state), len(path))
+    if not _certified():
+        return GenerationVerdict(c, False, None, None)
+    n = 2 ** (c + 1)
+    return GenerationVerdict(c, True, n, n)

@@ -3,13 +3,16 @@
 Everything here is deliberately written against different primitives
 than the package uses: values via explicit 3x3 matrix products, cluster
 statistics via a per-position outward scan, Fibonacci numbers via plain
-iteration, hat announcements via the literal turn recursion.  Slow and
+iteration, hat announcements via the literal turn recursion, and both
+sides of the Stern-Brocot generations as whole rows of pairs.  Slow and
 dumb on purpose.
 """
 
+from array import array
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
+from operator import add, lt, mul
 
 from fibtree.threehat import _chain_length_normalized, chain_length, validate_config
 
@@ -85,11 +88,72 @@ def totients_by_sieve(n):
     return phi
 
 
+def state_rows(c):
+    """The rows a and b of u = a/b over the codes of length c, increasing.
+
+    Step 0 maps u to a/(a+b) = u/(1+u), increasing into (0, 1/2), and step
+    1 to b/(a+b) = 1/(1+u), decreasing into (1/2, 1), so the next row is
+    step 0 of this one followed by step 1 of it reversed."""
+    a_row, b_row = array("Q", [1]), array("Q", [2])
+    for _ in range(c):
+        s_row = array("Q", map(add, a_row, b_row))
+        a_row, b_row = a_row + b_row[::-1], s_row + s_row[::-1]
+    return a_row, b_row
+
+
+def path_rows(c):
+    """The rows p and q of the L/R words of length c on 1/2 and 2/1, increasing.
+
+    Appending L maps (p, q) to (p, p + q), increasing into (0, 1), and R
+    to (p + q, q), increasing into (1, oo), so the next row is the L block
+    of this one followed by its R block.  gcd(p, q) stays 1.
+    """
+    p_row, q_row = array("Q", [1, 2]), array("Q", [2, 1])
+    for _ in range(c):
+        s_row = array("Q", map(add, p_row, q_row))
+        p_row, q_row = p_row + s_row, s_row + q_row
+    return p_row, q_row
+
+
+def increasing(p_row, q_row):
+    """Whether the fractions p/q increase strictly, by adjacent cross-products."""
+    return all(map(lt, map(mul, p_row, islice(q_row, 1, None)),
+                   map(mul, islice(p_row, 1, None), q_row)))
+
+
+def generation_by_rows(c, u_rows=None, path=None):
+    """check_generation's verdict (length, equal, state_side, path_side) from
+    whole rows: u_rows are the rows a, b of u (state_rows(c) if None), and
+    path the rows p, q of the words (path_rows(c) if None).
+
+    The state side is the u row, then that row swapped and reversed for
+    v = 1/u.  When both sides increase strictly, their pairs are distinct
+    and in one order, so the sides are equal iff the rows are, and the
+    counts are the row lengths; a side that does not is compared and
+    counted as a set.  Both sides are held whole, 32 bytes a pair.
+    """
+    a_row, b_row = u_rows or state_rows(c)
+    state = (a_row + b_row[::-1], b_row + a_row[::-1])
+    path = path or path_rows(c)
+    if increasing(*state) and increasing(*path):
+        return (c, state == path, len(state[0]), len(path[0]))
+    state, path = set(zip(*state)), set(zip(*path))
+    return (c, state == path, len(state), len(path))
+
+
 def fib_by_addition(n):
     a, b = 1, 1
     for _ in range(n - 1):
         a, b = b, a + b
     return a
+
+
+def fibs_by_addition(n):
+    """[F(1), ..., F(n)] by plain addition."""
+    out = [1, 1][:n]
+    while len(out) < n:
+        out.append(out[-1] + out[-2])
+    return out
 
 
 def is_prime_by_division(n):

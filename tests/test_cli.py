@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -221,6 +223,29 @@ def test_conjecture_json_lines_match_the_encoder(length):
         for record in stream.records:
             assert stream.json(record) == _dumps(record)
             pairs += 1
+    assert pairs > 0 or length < 5  # length 5 has the first pairs
+
+
+# the text line's formatter before it filled a %-template
+CONJECTURE_TEXT = ("len {length} weight {weight}: var {low_var} value {low_var_value} "
+                   "vs var {high_var} value {high_var_value} "
+                   "(codes {low_var_code}, {high_var_code})").format_map
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_conjecture_text_and_csv_lines_match_the_formatters(length):
+    pairs = 0
+    for weight in [[], *(["--weight", str(w)] for w in range(1, length + 1))]:
+        stream = _stream("scan", "conjecture", "--len", str(length), *weight)
+        records = list(stream.records)
+        for record in records:
+            assert stream.text(record) == CONJECTURE_TEXT(record)
+        got, want = io.StringIO(), io.StringIO()
+        csv.writer(got, lineterminator="\n").writerows(map(stream.row, records))
+        csv.writer(want, lineterminator="\n").writerows(
+            [record[field] for field in stream.header] for record in records)
+        assert got.getvalue() == want.getvalue()
+        pairs += len(records)
     assert pairs > 0 or length < 5  # length 5 has the first pairs
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -30,7 +31,7 @@ from fibtree import (
 )
 import fibtree.expansion
 from fixtures import NOT_INT_ENTRIES
-from oracle import fib_by_addition
+from oracle import fib_by_addition, fibs_by_addition
 
 
 def test_fib_indexing_anchors():
@@ -42,8 +43,27 @@ def test_fib_indexing_anchors():
         fib(0)
 
 
+def test_fib_matches_addition_to_ten_thousand():
+    # the table ends at F(127) and fast doubling takes over from 128
+    assert [fib(n) for n in range(1, 10 ** 4 + 1)] == fibs_by_addition(10 ** 4)
+    assert fib(10 ** 4) == fib_by_addition(10 ** 4)
+
+
+def test_fib_keeps_nothing():
+    # a process-wide list of every F(n) made held 40.8 MB after fib(30002)
+    want = fib_by_addition(30002)
+    tracemalloc.start()
+    try:
+        assert fib(30002) == want
+        assert tree_value(SumNode(30000, Leaf(30002), Leaf(2))) > 0
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2 ** 20
+
+
 # each equals a valid index, which coercion would accept; a float as large
-# as 1e300 would make an unchecked fib extend its cache without end
+# as 1e300 would ask an unchecked fib for about 2 * 10**299 digits
 @pytest.mark.parametrize("n", [True, 2.0, "3", Fraction(3)], ids=repr)
 def test_fib_refuses_non_int_indices(n):
     with pytest.raises(DomainError, match="Fibonacci index must be an integer"):

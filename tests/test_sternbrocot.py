@@ -1,6 +1,8 @@
+import operator
 import tracemalloc
 from array import array
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,8 @@ from fibtree import (
     v,
 )
 from fibtree import sternbrocot
+from fibtree.engine import _last, _rows
+import oracle
 
 codes = st.text(alphabet="01", max_size=25)
 
@@ -67,8 +71,8 @@ def test_integer_path_side_matches_fraction_paths():
                  for n in range(1 << c)]
         fractions = {apply_path(word, seed) for word in words
                      for seed in (F(1, 2), F(2, 1))}
-        assert set(zip(*sternbrocot._path_rows(c))) == {(q.numerator, q.denominator)
-                                                        for q in fractions}
+        assert set(zip(*oracle.path_rows(c))) == {(q.numerator, q.denominator)
+                                                  for q in fractions}
 
 
 def _set_verdict(c):
@@ -91,84 +95,185 @@ def test_packed_keys_give_the_set_verdict():
         assert check_generation(c) == _set_verdict(c)
 
 
-def _set_verdict_of_patched(c):
-    """The set verdict of the rows as the module reads them, patched or not."""
-    a, b = sternbrocot._state_rows(c)
+def test_certificate_matches_the_oracle_rows():
+    for c in range(1, 19):
+        assert check_generation(c) == oracle.generation_by_rows(c) == (
+            c, True, 2 ** (c + 1), 2 ** (c + 1))
+
+
+def _set_verdict_of_rows(c, u_rows, path):
+    """The set verdict of rows that generation_by_rows reads, altered or not."""
+    a, b = u_rows
     state = set(zip(a, b)) | set(zip(b, a))
-    path = set(zip(*sternbrocot._path_rows(c)))
+    path = set(zip(*path))
     return (c, state == path, len(state), len(path))
 
 
-def _altered(monkeypatch, side, change):
-    """Patch the rows that one side is read from, passing them through
-    change(p_row, q_row) first."""
-    name = "_state_rows" if side == "state" else "_path_rows"
-    real = getattr(sternbrocot, name)
-
-    def altered(c):
-        rows = real(c)
-        change(rows[0], rows[1])
-        return rows
-
-    monkeypatch.setattr(sternbrocot, name, altered)
+def _altered_verdicts(side, change):
+    """generation_by_rows and the set verdict at c = 6, with the rows of one
+    side passed through change(p_row, q_row) first."""
+    rows = {"state": oracle.state_rows(6), "path": oracle.path_rows(6)}
+    change(*rows[side])
+    return (oracle.generation_by_rows(6, rows["state"], rows["path"]),
+            _set_verdict_of_rows(6, rows["state"], rows["path"]))
 
 
 @pytest.mark.parametrize("where", [0, 37, -1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("side", ["state", "path"])
 @pytest.mark.parametrize("new_entry", [lambda x: x + 1, lambda x: 1 << 20],
                          ids=["plus-one", "past-every-entry"])
-def test_one_changed_entry_breaks_equality(monkeypatch, side, where, new_entry):
+def test_one_changed_entry_breaks_equality(side, where, new_entry):
     def change(p_row, q_row):
         p_row[where] = new_entry(p_row[where])
 
-    _altered(monkeypatch, side, change)
-    verdict = check_generation(6)
-    assert not verdict.equal
-    assert verdict == _set_verdict_of_patched(6)
+    verdict, by_sets = _altered_verdicts(side, change)
+    assert not verdict[1]
+    assert verdict == by_sets
 
 
-def test_path_entries_wider_than_the_state_side_never_match(monkeypatch):
+def test_path_entries_wider_than_the_state_side_never_match():
     # packed into integer keys with three bits, these pairs once gave the
     # keys 7, 11, 13 and 14 that the state pairs (1, 3), (2, 3), (3, 1)
     # and (3, 2) gave with two; compared as pairs they never match
-    monkeypatch.setattr(sternbrocot, "_path_rows",
-                        lambda c: (array("Q", [0, 1, 1, 1]), array("Q", [7, 3, 5, 6])))
-    assert check_generation(1) == (1, False, 4, 4)
+    path = (array("Q", [0, 1, 1, 1]), array("Q", [7, 3, 5, 6]))
+    assert oracle.generation_by_rows(1, oracle.state_rows(1), path) == (1, False, 4, 4)
 
 
 @pytest.mark.parametrize("side", ["state", "path"])
-def test_repeated_pair_counts_once(monkeypatch, side):
+def test_repeated_pair_counts_once(side):
     def change(p_row, q_row):
         p_row[-1], q_row[-1] = p_row[0], q_row[0]
 
-    _altered(monkeypatch, side, change)
-    verdict = check_generation(6)
-    assert not verdict.equal
-    assert verdict == _set_verdict_of_patched(6)
+    verdict, by_sets = _altered_verdicts(side, change)
+    assert not verdict[1]
+    assert verdict == by_sets
     # each side has 2**7 distinct pairs; a state row entry stands in two
     # of them, (a, b) and (b, a)
     lost = 2 if side == "state" else 1
-    assert verdict.state_side + verdict.path_side == 2 * 2 ** 7 - lost
+    assert verdict[2] + verdict[3] == 2 * 2 ** 7 - lost
 
 
 def test_rows_are_built_in_increasing_order():
     for c in range(1, 13):
-        a, b = sternbrocot._state_rows(c)
-        assert sternbrocot._increasing(a + b[::-1], b + a[::-1])
-        assert sternbrocot._increasing(*sternbrocot._path_rows(c))
+        a, b = oracle.state_rows(c)
+        assert oracle.increasing(a + b[::-1], b + a[::-1])
+        assert oracle.increasing(*oracle.path_rows(c))
         assert [F(x, y) for x, y in zip(a, b)] == sorted(u(code) for code in enumerate_codes(c))
 
 
+# The matrices of the code steps on (a, b) and of the pair steps behind
+# f_L and f_R; the certificate reads each off the code, and the tests
+# below install mutants of these in the code's place.
+STEPS = {"A0": ((1, 0), (1, 1)), "A1": ((0, 1), (1, 1)),
+         "L": ((1, 0), (1, 1)), "R": ((1, 1), (0, 1))}
+
+
+def _apply(m, p, q):
+    return m[0][0] * p + m[0][1] * q, m[1][0] * p + m[1][1] * q
+
+
+def _kernel(a0, a1):
+    """engine._rows with the code steps (a, b) -> a0.(a, b) and a1.(a, b),
+    in lists: the child of index i by bit x sits at 2i + x."""
+    def rows(max_len, a, b):
+        level = [(a, b)]
+        for _ in range(max_len + 1):
+            yield [p for p, _ in level], [q for _, q in level], [p + q for p, q in level]
+            level = [_apply(m, p, q) for p, q in level for m in (a0, a1)]
+    return rows
+
+
+def _install(monkeypatch, steps):
+    monkeypatch.setattr(sternbrocot, "_rows", _kernel(steps["A0"], steps["A1"]))
+    monkeypatch.setattr(sternbrocot, "_left", partial(_apply, steps["L"]))
+    monkeypatch.setattr(sternbrocot, "_right", partial(_apply, steps["R"]))
+
+
+def _sides(c):
+    """Both sides of length c as sets of pairs, built whole through the
+    module's seams: the u pairs from its row kernel at its root, and the
+    words from the pair steps that f_L and f_R are written with."""
+    a, b, _ = _last(sternbrocot._rows(c, *sternbrocot.ROOT[:2]))
+    state = set(zip(a, b)) | set(zip(b, a))
+    path = {(1, 2), (2, 1)}
+    for _ in range(c):
+        path = {step(p, q) for p, q in path
+                for step in (sternbrocot._left, sternbrocot._right)}
+    return state, path
+
+
+def test_the_step_matrices_are_the_code_steps(monkeypatch):
+    for (a, b, s), (pa, pb, ps) in zip(_rows(8, 2, 5), _kernel(STEPS["A0"], STEPS["A1"])(8, 2, 5)):
+        assert (list(a), list(b), list(s)) == (pa, pb, ps)
+    for p, q in [(1, 2), (3, 5), (8, 3)]:
+        assert sternbrocot._left(p, q) == _apply(STEPS["L"], p, q)
+        assert sternbrocot._right(p, q) == _apply(STEPS["R"], p, q)
+    _install(monkeypatch, STEPS)
+    for c in range(1, 5):
+        state, path = _sides(c)
+        assert state == path and len(state) == 2 ** (c + 1)
+        assert check_generation(c) == (c, True, 2 ** (c + 1), 2 ** (c + 1))
+
+
+@pytest.mark.parametrize("delta", [1, -1], ids=["plus-one", "minus-one"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["00", "01", "10", "11"])
+@pytest.mark.parametrize("name", list(STEPS))
+def test_a_mutated_step_fails_the_certificate(monkeypatch, name, entry, delta):
+    i, j = entry
+    mutant = [list(row) for row in STEPS[name]]
+    mutant[i][j] += delta
+    _install(monkeypatch, {**STEPS, name: tuple(map(tuple, mutant))})
+    # the mutant shows on the sides built whole, by some c <= 4 ...
+    assert any(operator.ne(*_sides(c)) for c in range(1, 5))
+    # ... and the certificate fails, claiming no count
+    for c in range(1, 5):
+        assert check_generation(c) == (c, False, None, None)
+
+
+# Steps changed together so that A0 = L, A1 = L.J and R = J.L.J: the
+# identities hold and the sides stay equal, but only an L into (0, 1) that
+# is one-to-one makes each side double at every step.
+@pytest.mark.parametrize("steps, grows", [
+    ({"A0": ((1, 0), (2, 1)), "A1": ((0, 1), (1, 2)),
+      "L": ((1, 0), (2, 1)), "R": ((1, 2), (0, 1))}, True),
+    ({"A0": ((1, 0), (0, 1)), "A1": ((0, 1), (1, 0)),
+      "L": ((1, 0), (0, 1)), "R": ((1, 0), (0, 1))}, False),
+    ({"A0": ((1, 0), (1, 0)), "A1": ((0, 1), (0, 1)),
+      "L": ((1, 0), (1, 0)), "R": ((0, 1), (0, 1))}, False),
+], ids=["doubling", "identity", "singular"])
+def test_only_doubling_steps_certify_the_counts(monkeypatch, steps, grows):
+    _install(monkeypatch, steps)
+    for c in range(1, 5):
+        state, path = _sides(c)
+        assert state == path
+        assert (len(state) == 2 ** (c + 1)) == grows
+        n = 2 ** (c + 1) if grows else None
+        assert check_generation(c) == (c, grows, n, n)
+
+
+@pytest.mark.parametrize("root", [(1, 2, 3), (2, 1, 3), (1, 3, 4), (2, 3, 5)])
+def test_the_base_case_reads_the_root(monkeypatch, root):
+    monkeypatch.setattr(sternbrocot, "ROOT", root)
+    equal = all(operator.eq(*_sides(c)) for c in range(0, 5))
+    assert equal == (set(root[:2]) == {1, 2})
+    for c in range(1, 5):
+        assert check_generation(c).equal == equal
+
+
 def test_check_generation_memory():
-    # sets of pair tuples peaked at 38.9 MB here and sorted packed keys at
-    # 9.3 MB; both sides' rows, 32 bytes a pair, now set the peak
-    tracemalloc.start()
-    try:
-        assert check_generation(16).equal
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * 2 ** 20
+    # sets of pair tuples peaked at 38.9 MB at c = 16, sorted packed keys
+    # at 9.3 MB and both sides' rows at 32 bytes a pair, about 64 GB at
+    # c = 30; the certificate holds a few 2x2 matrices at any c
+    for c in (16, 30):
+        tracemalloc.start()
+        try:
+            verdict = check_generation(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (c, True, 2 ** (c + 1), 2 ** (c + 1))
+        assert peak < 2 ** 14, c
 
 
 @given(st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.fractions()))
