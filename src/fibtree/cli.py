@@ -24,7 +24,10 @@ selects nothing.  Machine formats (json, csv) are deterministic:
 identical argv produces byte-identical output, so scan results can be
 diffed across runs.  Timings go to stderr only.  Each command imports
 the library modules it runs, so a process loads only what its command
-needs.
+needs.  The parser writes each argument shape that commands share once,
+as a parent parser (the common options, a code, a code with --root, the
+hat entries a b c, --len), and registers every command through one
+helper that adds the common options and its function.
 
 Exit codes: 0 success, 1 usage error (including an --out path that
 cannot be written, or a reader that closed the output pipe early), 2
@@ -278,14 +281,29 @@ def _cmd_sb_frac(args) -> Doc:
 
 
 def _cmd_sb_check(args) -> Stream:
+    from math import log10
+
     from .sternbrocot import check_generation
 
     _check_cap(args, "--depth", args.depth)
-    verdicts = [check_generation(c)._asdict() for c in range(1, args.depth + 1)]
-    bad = sum(not it["equal"] for it in verdicts)
+    # the counts 2**(c + 1) pass the interpreter's digit limit once (c + 1)
+    # log10(2) reaches it, c = 14,284 at 4,300; 0 (or no limit) refuses nothing
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and (args.depth + 1) * log10(2) >= limit:
+        raise DomainError(f"--depth {args.depth} gives counts of more than {limit} "
+                          "decimal digits, the interpreter's limit for integer output")
+    bad = 0
+
+    def verdicts():
+        nonlocal bad
+        for c in range(1, args.depth + 1):
+            verdict = check_generation(c)._asdict()
+            bad += not verdict["equal"]
+            yield verdict
+
     scope = f"sb-check:depth={args.depth}"
     header = ["length", "equal", "state_side", "path_side"]
-    return Stream(verdicts, header, itemgetter(*header),
+    return Stream(verdicts(), header, itemgetter(*header),
                   "c={length}: equal={equal} ({state_side} fractions)".format_map, _dumps,
                   lambda n: (_scan_summary(scope, args.depth, bad),
                              f"checked {args.depth} generations, {bad} violations",
@@ -492,7 +510,11 @@ def _cmd_hat_solve(args) -> Doc:
 # --------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    def shape(*parents) -> argparse.ArgumentParser:
+        """A parent parser: arguments that several commands share."""
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    common = shape()
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
     common.add_argument("--jobs", type=_positive_int, default=1,
@@ -503,114 +525,74 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"lift the hard caps: {LENGTH_CAP} on lengths and "
                         "depths, 10**9 on --max-entry, 10**6 on hat solve values, "
                         "10**4 on expand --inverse K and 10**6 on its code length")
+    code = shape()
+    code.add_argument("code")
+    rooted = shape(code)
+    rooted.add_argument("--root", help="root triple as a,b (third entry is a+b)")
+    config = shape()
+    for entry in "abc":
+        config.add_argument(entry, type=_positive_int)
+    length = shape()
+    length.add_argument("--len", dest="length", type=_positive_int, required=True)
+
+    def command(group, name: str, func, about: str, *shapes):
+        """Add a subcommand running func, with the common options and shapes."""
+        p = group.add_parser(name, parents=[common, *shapes], help=about)
+        p.set_defaults(func=func)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="fibtree",
         description="Binary-code state machine over additive integer triples.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="state and value reached by a code")
-    p.add_argument("code")
-    p.add_argument("--root", help="root triple as a,b (third entry is a+b)")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("trace", parents=[common],
-                       help="every intermediate state of a code")
-    p.add_argument("code")
-    p.add_argument("--root", help="root triple as a,b (third entry is a+b)")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("reflect", parents=[common],
-                       help="reverse a code and compare values")
-    p.add_argument("code")
-    p.set_defaults(func=_cmd_reflect)
-
-    p = sub.add_parser("metrics", parents=[common],
-                       help="cluster profile, average and variance")
-    p.add_argument("code")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="two-term Fibonacci expansion of a value")
+    command(sub, "eval", _cmd_eval, "state and value reached by a code", rooted)
+    command(sub, "trace", _cmd_trace, "every intermediate state of a code", rooted)
+    command(sub, "reflect", _cmd_reflect, "reverse a code and compare values", code)
+    command(sub, "metrics", _cmd_metrics, "cluster profile, average and variance", code)
+    p = command(sub, "expand", _cmd_expand, "two-term Fibonacci expansion of a value")
     p.add_argument("code", nargs="?")
     p.add_argument("--inverse", nargs=3, type=int, metavar=("A", "B", "K"),
                    help="decode the expansion a*F(k) + b*F(k+2) back to a code")
     p.add_argument("--recursive", action="store_true",
                    help="expand coefficients recursively into a tree")
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("scan", help="exhaustive checks over code space")
-    scan_sub = p.add_subparsers(dest="scan_command", required=True)
+    scan = sub.add_parser("scan", help="exhaustive checks over code space"
+                          ).add_subparsers(dest="scan_command", required=True)
+    command(scan, "reflection", _cmd_scan_reflection,
+            "value invariance under code reversal"
+            ).add_argument("--max-len", type=_positive_int, required=True)
+    command(scan, "conjecture", _cmd_scan_conjecture,
+            "variance orders value within a weight class", length
+            ).add_argument("--weight", type=_positive_int)
+    command(scan, "converse", _cmd_scan_converse,
+            "value classes shared beyond reflection pairs", length)
+    p = command(scan, "roots", _cmd_scan_roots,
+                "root triples preserving reflection invariance")
+    p.add_argument("--max-entry", type=_positive_int, required=True)
+    p.add_argument("--depth", type=_positive_int, default=10)
+    command(scan, "blocks", _cmd_scan_blocks, "block versus alternating code values"
+            ).add_argument("--max-j", type=_positive_int, default=12)
 
-    q = scan_sub.add_parser("reflection", parents=[common],
-                            help="value invariance under code reversal")
-    q.add_argument("--max-len", type=_positive_int, required=True)
-    q.set_defaults(func=_cmd_scan_reflection)
+    sb = sub.add_parser("sb", help="fraction labels on code paths"
+                        ).add_subparsers(dest="sb_command", required=True)
+    command(sb, "frac", _cmd_sb_frac, "the two fraction labels of a code", code)
+    command(sb, "check", _cmd_sb_check, "generation sets match mediant paths"
+            ).add_argument("--depth", type=_positive_int, required=True)
 
-    q = scan_sub.add_parser("conjecture", parents=[common],
-                            help="variance orders value within a weight class")
-    q.add_argument("--len", dest="length", type=_positive_int, required=True)
-    q.add_argument("--weight", type=_positive_int)
-    q.set_defaults(func=_cmd_scan_conjecture)
-
-    q = scan_sub.add_parser("converse", parents=[common],
-                            help="value classes shared beyond reflection pairs")
-    q.add_argument("--len", dest="length", type=_positive_int, required=True)
-    q.set_defaults(func=_cmd_scan_converse)
-
-    q = scan_sub.add_parser("roots", parents=[common],
-                            help="root triples preserving reflection invariance")
-    q.add_argument("--max-entry", type=_positive_int, required=True)
-    q.add_argument("--depth", type=_positive_int, default=10)
-    q.set_defaults(func=_cmd_scan_roots)
-
-    q = scan_sub.add_parser("blocks", parents=[common],
-                            help="block versus alternating code values")
-    q.add_argument("--max-j", type=_positive_int, default=12)
-    q.set_defaults(func=_cmd_scan_blocks)
-
-    p = sub.add_parser("sb", help="fraction labels on code paths")
-    sb_sub = p.add_subparsers(dest="sb_command", required=True)
-
-    q = sb_sub.add_parser("frac", parents=[common],
-                          help="the two fraction labels of a code")
-    q.add_argument("code")
-    q.set_defaults(func=_cmd_sb_frac)
-
-    q = sb_sub.add_parser("check", parents=[common],
-                          help="generation sets match mediant paths")
-    q.add_argument("--depth", type=_positive_int, required=True)
-    q.set_defaults(func=_cmd_sb_check)
-
-    p = sub.add_parser("hat", help="three-player sum-configuration dialogues")
-    hat_sub = p.add_subparsers(dest="hat_command", required=True)
-
-    q = hat_sub.add_parser("simulate", parents=[common],
-                           help="run a dialogue to its first announcement")
-    q.add_argument("a", type=_positive_int)
-    q.add_argument("b", type=_positive_int)
-    q.add_argument("c", type=_positive_int)
-    q.set_defaults(func=_cmd_hat_simulate)
-
-    q = hat_sub.add_parser("chain", parents=[common],
-                           help="sigma-reduction chain of a configuration")
-    q.add_argument("a", type=_positive_int)
-    q.add_argument("b", type=_positive_int)
-    q.add_argument("c", type=_positive_int)
-    q.add_argument("--full", action="store_true",
-                   help="include the final base configuration")
-    q.set_defaults(func=_cmd_hat_chain)
-
-    q = hat_sub.add_parser("solve", parents=[common],
-                           help="configurations answering an announcement query")
-    q.add_argument("--solver", required=True, choices=("A", "B", "C"))
-    q.add_argument("--rounds", type=_positive_int, required=True)
-    q.add_argument("--value", type=_positive_int, required=True)
-    q.add_argument("--oracle-cap", type=_positive_int,
+    hat = sub.add_parser("hat", help="three-player sum-configuration dialogues"
+                         ).add_subparsers(dest="hat_command", required=True)
+    command(hat, "simulate", _cmd_hat_simulate,
+            "run a dialogue to its first announcement", config)
+    command(hat, "chain", _cmd_hat_chain, "sigma-reduction chain of a configuration",
+            config).add_argument("--full", action="store_true",
+                                 help="include the final base configuration")
+    p = command(hat, "solve", _cmd_hat_solve,
+                "configurations answering an announcement query")
+    p.add_argument("--solver", required=True, choices=("A", "B", "C"))
+    p.add_argument("--rounds", type=_positive_int, required=True)
+    p.add_argument("--value", type=_positive_int, required=True)
+    p.add_argument("--oracle-cap", type=_positive_int,
                    help="also run the exhaustive oracle up to this entry bound")
-    q.set_defaults(func=_cmd_hat_solve)
-
     return parser
 
 

@@ -191,16 +191,32 @@ def flatten_products(node: ExpansionTree) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+_MAX_BITS_PAST_ONES = 2400
+
+
 def expand_recursive(code: str) -> ExpansionTree:
     """Nested expansion of a code's value, down to Fibonacci-number leaves.
 
     Equal subtrees, leaves included, are the same object within one call;
     nothing is kept between calls.  The nodes are slotted, frozen Leaf and
     SumNode dataclasses.
+
+    Each level of the tree drops at least three of the bits past the
+    code's leading ones, so n such bits give at most n/3 + 1 levels, and
+    building, evaluating or serialising the tree recurses once a level.
+    A code with more than 2,400 bits past its leading ones (801 levels)
+    raises DomainError before anything is built, keeping inside the
+    interpreter's default recursion limit of 1,000; all-ones codes are
+    one leaf.
     """
     code = as_code(code)
     if not code:
         raise DomainError("the empty code has no expansion")
+    n = len(code)
+    if n > _MAX_BITS_PAST_ONES and -1 < code.find("0") < n - _MAX_BITS_PAST_ONES:
+        raise DomainError(
+            f"a code with {n - code.find('0')} bits past its leading ones "
+            f"expands too deep; the limit is {_MAX_BITS_PAST_ONES}")
     return _expand(code, {})
 
 

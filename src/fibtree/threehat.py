@@ -68,7 +68,7 @@ def validate_config(w) -> tuple[int, int, int]:
 
 
 def is_base(w) -> bool:
-    lo, mid, _ = sorted(w)
+    lo, mid, _ = sorted(validate_config(w))
     return lo == mid
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fibtree
-from fibtree import expansion, iter_chain, scans, threehat
+from fibtree import expansion, iter_chain, scans, sternbrocot, threehat
+from fibtree import cli
 from fibtree.cli import _build_parser, _dumps, main
 
 
@@ -123,6 +124,16 @@ def test_expand_inverse(capsys):
                                "value": 19}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_expand_recursive_refuses_a_deep_code(capsys, fmt):
+    rc, out, err = run(capsys, "expand", "0" * 3000, "--recursive", "--format", fmt)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: a code with 3000 bits past") and "Traceback" not in err
+    deepest = "0" * expansion._MAX_BITS_PAST_ONES
+    rc, out, _ = run(capsys, "expand", deepest, "--recursive", "--format", fmt)
+    assert rc == 0 and out
+
+
 def test_expand_requires_exactly_one_mode(capsys):
     assert run(capsys, "expand")[0] == 1
     assert run(capsys, "expand", "1011", "--inverse", "2", "3", "3")[0] == 1
@@ -146,6 +157,60 @@ def test_sb_check(capsys):
     assert all(d["equal"] for d in items)
     assert [d["state_side"] for d in items] == [4, 8, 16, 32]
     assert summary["violation_count"] == 0
+
+
+def _verdict_every_other(calls):
+    """A check_generation that fails the even depths, recording each call."""
+    def check(c):
+        calls.append(c)
+        return (sternbrocot.GenerationVerdict(c, True, 2, 2) if c % 2
+                else sternbrocot.GenerationVerdict(c, False, None, None))
+    return check
+
+
+def test_sb_check_streams_and_counts_failures_as_written(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sternbrocot, "check_generation", _verdict_every_other(calls))
+    args = _build_parser().parse_args(["sb", "check", "--depth", "5"])
+    stream = args.func(args)
+    assert calls == []
+    assert next(iter(stream.records))["length"] == 1 and calls == [1]
+    rc, out, _ = run(capsys, "sb", "check", "--depth", "5", "--format", "json")
+    docs = json_lines(out)
+    assert rc == 3
+    assert [d["equal"] for d in docs[:-1]] == [True, False, True, False, True]
+    assert docs[-1]["violation_count"] == 2
+
+
+# The counts 2**(c + 1) pass 4,300 decimal digits from c = 14,284: the
+# whole depth is refused before the first verdict, not partway through
+# the stream.
+@pytest.mark.parametrize("depth", ["14284", "14290"])
+def test_sb_check_past_the_digit_limit_is_refused_up_front(capsys, monkeypatch, depth):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(sternbrocot, "check_generation", _refuse_work)
+    for fmt in ("text", "json", "csv"):
+        rc, out, err = run(capsys, "sb", "check", "--depth", depth,
+                           "--unsafe-no-cap", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --depth {depth} gives counts of more than 4300 "
+                       "decimal digits, the interpreter's limit for integer output\n")
+
+
+# the last depth under the default limit, a limit of 0, and a 3.10 build
+# without get_int_max_str_digits are all run in full
+@pytest.mark.parametrize("limit, depth", [(4300, 14283), (0, 20000), (None, 20000)])
+def test_sb_check_within_the_digit_limit_runs(capsys, monkeypatch, limit, depth):
+    calls = []
+    if limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    monkeypatch.setattr(sternbrocot, "check_generation", _verdict_every_other(calls))
+    rc, out, _ = run(capsys, "sb", "check", "--depth", str(depth), "--unsafe-no-cap",
+                     "--format", "json")
+    assert rc == 3 and calls == list(range(1, depth + 1))
+    assert out.count("\n") == depth + 1
 
 
 # ---------------------------------------------------------------- scans
@@ -470,6 +535,53 @@ def test_hat_solve_with_oracle(capsys):
     assert [s["config"] for s in doc["oracle"]] == [[1, 1, 2]]
 
 
+# --------------------------------------------------------------- parser
+
+# One argv for each of the 15 commands and the namespace it parses to,
+# captured before the parser's shared arguments were written once: the
+# shapes, defaults and types must not move.  Help text is not pinned
+# here: argparse formats it differently across Python versions.
+COMMON_DEFAULTS = {"format": "text", "jobs": 1, "out": None, "unsafe_no_cap": False}
+PARSED = [
+    ("eval 0101 --root 2,1", "_cmd_eval",
+     {"command": "eval", "code": "0101", "root": "2,1"}),
+    ("trace 0110", "_cmd_trace", {"command": "trace", "code": "0110", "root": None}),
+    ("reflect 10011", "_cmd_reflect", {"command": "reflect", "code": "10011"}),
+    ("metrics 0110 --format json", "_cmd_metrics",
+     {"command": "metrics", "code": "0110", "format": "json"}),
+    ("expand --inverse 2 3 4", "_cmd_expand",
+     {"command": "expand", "code": None, "inverse": [2, 3, 4], "recursive": False}),
+    ("scan reflection --max-len 18 --jobs 2", "_cmd_scan_reflection",
+     {"command": "scan", "scan_command": "reflection", "max_len": 18, "jobs": 2}),
+    ("scan conjecture --len 8 --weight 4", "_cmd_scan_conjecture",
+     {"command": "scan", "scan_command": "conjecture", "length": 8, "weight": 4}),
+    ("scan converse --len 16 --out x.json", "_cmd_scan_converse",
+     {"command": "scan", "scan_command": "converse", "length": 16, "out": "x.json"}),
+    ("scan roots --max-entry 400", "_cmd_scan_roots",
+     {"command": "scan", "scan_command": "roots", "max_entry": 400, "depth": 10}),
+    ("scan blocks", "_cmd_scan_blocks",
+     {"command": "scan", "scan_command": "blocks", "max_j": 12}),
+    ("sb frac 0110", "_cmd_sb_frac", {"command": "sb", "sb_command": "frac", "code": "0110"}),
+    ("sb check --depth 12 --unsafe-no-cap", "_cmd_sb_check",
+     {"command": "sb", "sb_command": "check", "depth": 12, "unsafe_no_cap": True}),
+    ("hat simulate 3 11 14 --format csv", "_cmd_hat_simulate",
+     {"command": "hat", "hat_command": "simulate", "a": 3, "b": 11, "c": 14,
+      "format": "csv"}),
+    ("hat chain 3 11 14 --full", "_cmd_hat_chain",
+     {"command": "hat", "hat_command": "chain", "a": 3, "b": 11, "c": 14, "full": True}),
+    ("hat solve --solver B --rounds 4 --value 720 --oracle-cap 10", "_cmd_hat_solve",
+     {"command": "hat", "hat_command": "solve", "solver": "B", "rounds": 4,
+      "value": 720, "oracle_cap": 10}),
+]
+
+
+@pytest.mark.parametrize("argv, func, parsed", PARSED, ids=[case[0] for case in PARSED])
+def test_each_command_parses_as_before(argv, func, parsed):
+    args = vars(_build_parser().parse_args(argv.split()))
+    assert args.pop("func") is getattr(cli, func)
+    assert args == {**COMMON_DEFAULTS, **parsed}
+
+
 # ------------------------------------------------------ golden outputs
 
 # Every command in every format: the exit code, the SHA-256 of stdout and
@@ -780,6 +892,15 @@ GOLDEN_DIGESTS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hat solve --solver C --rounds 1 --value 2 --oracle-cap 10", "csv", 0,
      "5d081ec1e3e727aadab96e4e26232726469642b776c31dc6fedf07ddeab70396",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 4 --value 720", "text", 0,
+     "6ba3a52162f86c3e4f51daaeb925d0d7043ebc11800ba9b7f410f289f8a9054e",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 4 --value 720", "json", 0,
+     "896a2c0859acd5f2a8c37c5facceac3737600df769c4efa5699249c1e0f7285a",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 4 --value 720", "csv", 0,
+     "d0ef1cf34b7e8813f2bf2c666c49cef59965d4f66fbcb12fe7a382e44721bfa9",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("frobnicate", "text", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

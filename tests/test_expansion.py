@@ -309,3 +309,21 @@ def test_nodes_are_built_from_slices_alone(monkeypatch):
         monkeypatch.setattr(fibtree.expansion, name, refuse)
     for code in ("10", "1011", "10011", "0110100101", "01" * 20, "1110" + "0" * 30):
         assert tree_value(expand_recursive(code)) == value(code)
+
+
+# All-zero codes are the deepest for their length: each level drops exactly
+# three bits.  Past the bound a code is refused before anything is built,
+# where 3,000 zeros used to end in RecursionError.
+def test_deep_codes_are_refused_before_building(monkeypatch):
+    deepest = fibtree.expansion._MAX_BITS_PAST_ONES
+    monkeypatch.setattr(fibtree.expansion, "_expand", None)
+    for code in ("0" * 3000, "0" * (deepest + 1), "1" * 50 + "0" * (deepest + 1)):
+        with pytest.raises(DomainError):
+            expand_recursive(code)
+
+
+def test_the_longest_accepted_codes_expand():
+    deepest = fibtree.expansion._MAX_BITS_PAST_ONES
+    for code in ("0" * deepest, "1" * 3000 + "0" * deepest, "1" * 5000):
+        tree = expand_recursive(code)
+        assert tree_value(tree) == value(code)

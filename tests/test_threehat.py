@@ -55,6 +55,23 @@ def test_validate_config_refuses_entries_that_are_not_ints(kind, data):
         validate_config(tuple(config))
 
 
+@pytest.mark.parametrize("kind", sorted(NOT_INT_ENTRIES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_is_base_refuses_entries_that_are_not_ints(kind, data):
+    a = data.draw(st.integers(1, 30))
+    config = [a, a, 2 * a]
+    config[data.draw(st.integers(0, 2))] = data.draw(NOT_INT_ENTRIES[kind])
+    with pytest.raises(DomainError):
+        is_base(tuple(config))
+
+
+def test_is_base_refuses_a_triple_without_a_sum():
+    for bad in [(1, 1, 5), (2, 2, 2), (0, 1, 1), (1, 1)]:
+        with pytest.raises(DomainError):
+            is_base(bad)
+
+
 def test_base_and_normalize():
     assert is_base((1, 1, 2)) and is_base((4, 2, 2))
     assert not is_base((1, 2, 3))
