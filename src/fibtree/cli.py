@@ -44,6 +44,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
+from math import log10
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -114,6 +115,16 @@ def _check_cap(args, name: str, size: int, cap: int = LENGTH_CAP) -> None:
             f"{name} {size} exceeds the hard cap {cap} "
             "(pass --unsafe-no-cap to override)"
         )
+
+
+def _check_digits(name: str, size: int, bits: int) -> None:
+    """Refuse a size whose counts, up to 2**bits, pass the interpreter's
+    digit limit for integer output once bits * log10(2) reaches it, even
+    under --unsafe-no-cap; 0 (or no limit) refuses nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and bits * log10(2) >= limit:
+        raise DomainError(f"{name} {size} gives counts of more than {limit} "
+                          "decimal digits, the interpreter's limit for integer output")
 
 
 def _render(result: Doc | Stream, fmt: str, out) -> bool:
@@ -281,17 +292,11 @@ def _cmd_sb_frac(args) -> Doc:
 
 
 def _cmd_sb_check(args) -> Stream:
-    from math import log10
-
     from .sternbrocot import check_generation
 
     _check_cap(args, "--depth", args.depth)
-    # the counts 2**(c + 1) pass the interpreter's digit limit once (c + 1)
-    # log10(2) reaches it, c = 14,284 at 4,300; 0 (or no limit) refuses nothing
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and (args.depth + 1) * log10(2) >= limit:
-        raise DomainError(f"--depth {args.depth} gives counts of more than {limit} "
-                          "decimal digits, the interpreter's limit for integer output")
+    # the counts 2**(c + 1), refused from c = 14,284 at 4,300 digits
+    _check_digits("--depth", args.depth, args.depth + 1)
     bad = 0
 
     def verdicts():
@@ -464,12 +469,14 @@ def _cmd_hat_chain(args) -> Doc:
 
 
 def _cmd_hat_solve(args) -> Doc:
-    from .threehat import PuzzleQuery, brute_solve, is_base, solve_puzzle
+    from .threehat import PuzzleQuery, bounds, brute_solve, is_base, solve_puzzle
 
     _check_cap(args, "--value", args.value, 10**6)
     if args.oracle_cap is not None:
         _check_cap(args, "--oracle-cap", args.oracle_cap, 10**6)
     query = PuzzleQuery(args.solver, args.rounds, args.value)
+    # the excluded counts reach about 2**hi: from --rounds 4,763 (A), 4,762 (B, C)
+    _check_digits("--rounds", args.rounds, bounds(query.solver, query.rounds)[1])
     result = solve_puzzle(query)
     doc = {"query": query._asdict(), "survivors": result.criteria.survivors,
            "excluded": result.criteria.excluded,

@@ -144,6 +144,17 @@ def decode_state(s: State) -> str:
     return "".join(reversed(bits))
 
 
+def _quotient_sum(a: int, b: int) -> int:
+    """The sum of the partial quotients of a/b: the subtractions Euclid's
+    algorithm makes on (a, b) before an entry reaches 0."""
+    n = 0
+    while b:
+        q, r = divmod(a, b)
+        n += q
+        a, b = b, r
+    return n
+
+
 def reflect(code: str) -> str:
     """Reverse the bit order."""
     return as_code(code)[::-1]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Union
 
-from .engine import as_code, decode_state, evaluate
+from .engine import _quotient_sum, as_code, decode_state, evaluate
 from .errors import DomainError, _require_int
 
 
@@ -77,14 +77,9 @@ class Expansion:
         return self.a * fib(self.k) + self.b * fib(self.k + 2)
 
     def code_length(self) -> int:
-        """len(decode_expansion(self)) in O(log b) steps, building nothing:
-        k - 2 plus the sum of the quotients of Euclid's algorithm on (a, b),
-        as decode_state spells each quotient in bits."""
-        n, a, b = self.k - 2, self.a, self.b
-        while b:
-            n += a // b
-            a, b = b, a % b
-        return n
+        """len(decode_expansion(self)) in O(log b) steps, building nothing: k - 2
+        plus the sum of (a, b)'s Euclid quotients, as decode_state spells each in bits."""
+        return self.k - 2 + _quotient_sum(self.a, self.b)
 
 
 def pure_fibonacci(code: str) -> int:
@@ -142,30 +137,22 @@ ExpansionTree = Union[Leaf, SumNode]
 
 def tree_value(node: ExpansionTree) -> int:
     """Value of a tree; linear in its distinct nodes, since a shared sum
-    node is evaluated once per call and a leaf, shared or not, is a lookup
-    of its Fibonacci number.  Fibonacci numbers past the table are made
-    once per call and dropped with it.  A leaf index or k below 1 raises
-    DomainError."""
+    node is evaluated once per call and a leaf, shared or not, costs one
+    Fibonacci number: a table read, or past the table a fib call.
+    A leaf index or k below 1 raises DomainError."""
     T = _SMALL
     memo: dict[int, int] = {}
-    big: dict[int, int] = {}
-
-    def F(i: int) -> int:
-        f = big.get(i)
-        if f is None:
-            f = big[i] = fib(i)  # raises below 1
-        return f
 
     def walk(n: ExpansionTree) -> int:
         cls = type(n)
         # the exact classes first; isinstance only for a subclass
         if cls is Leaf or (cls is not SumNode and isinstance(n, Leaf)):
             i = n.index
-            return T[i] if 0 < i < 128 else F(i)
+            return T[i] if 0 < i < 128 else fib(i)
         v = memo.get(id(n))
         if v is None:
             k = n.k
-            fk, fk2 = (T[k], T[k + 2]) if 0 < k < 126 else (F(k), F(k + 2))
+            fk, fk2 = (T[k], T[k + 2]) if 0 < k < 126 else (fib(k), fib(k + 2))
             v = memo[id(n)] = walk(n.a) * fk + walk(n.b) * fk2
         return v
 

@@ -26,6 +26,7 @@ process does not import dataclasses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .engine import ROOT, State, _last, _rows, evaluate
@@ -83,9 +84,11 @@ def _times(m, n):
                  for i in (0, 1))
 
 
+@cache
 def _certified() -> bool:
     """The base case and the four identities of the module docstring, and
-    that L maps (0, oo) one-to-one into (0, 1)."""
+    that L maps (0, oo) one-to-one into (0, 1).  Independent of c, so it
+    is derived once per process."""
     a, b, _ = ROOT
     (a1, b1, _), (a2, b2, _) = _last(_rows(1, 1, 0)), _last(_rows(1, 0, 1))
     # each matrix's columns are its step's images of (1, 0) and (0, 1)

@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .engine import enumerate_states, trace
+from .engine import _quotient_sum, enumerate_states, trace
 from .errors import DivergenceError, DomainError, _require_int
 from .expansion import fib
 
@@ -120,12 +120,7 @@ def _chain_length_normalized(w: tuple[int, int, int]) -> int:
     chain holds the configurations before the base, or the base alone.
     """
     a, b, _ = w
-    steps = 0
-    while a:
-        q, r = divmod(b, a)
-        steps += q
-        a, b = r, a
-    return max(steps - 1, 1)
+    return max(_quotient_sum(b, a) - 1, 1)
 
 
 def chain_length(w) -> int:
@@ -386,7 +381,7 @@ def _verified_solutions(query: PuzzleQuery, candidates) -> list[Solution]:
     for w in candidates:
         turn, player = first_announcement(w)
         if PLAYERS[player] == query.solver and (turn + 2) // 3 == query.rounds:
-            out.append(Solution(w, PLAYERS[player], (turn + 2) // 3, turn))
+            out.append(Solution(w, query.solver, query.rounds, turn))
     return sorted(out)  # the candidates are distinct
 
 
@@ -428,24 +423,24 @@ def solve_puzzle(query: PuzzleQuery) -> SolveResult:
 
 def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
     """Exhaustive oracle: simulate every valid configuration with the
-    solver's value fixed, entries up to cap."""
+    solver's value fixed, entries up to cap.  Cost: O(cap) first
+    announcements, holding only the solutions, as the candidates stream."""
     _require_int("cap", cap)
     if cap < query.value:
         raise DomainError("cap must be at least the query value")
     x = PLAYERS.index(query.solver)
     m = query.value
-    candidates = []
-    for y in range(1, cap + 1):
-        for z in (m + y, m - y, y - m):
-            if not 1 <= z <= cap:
-                continue
-            w = [0, 0, 0]
-            w[x] = m
-            w[(x + 1) % 3], w[(x + 2) % 3] = y, z
-            lo, mid, hi = sorted(w)
-            if lo + mid == hi:
-                candidates.append(tuple(w))
-    return _verified_solutions(query, candidates)
+
+    def candidates():
+        for y in range(1, cap + 1):
+            for z in (m + y, m - y, y - m):  # each makes one entry the sum
+                if 1 <= z <= cap:
+                    w = [0, 0, 0]
+                    w[x] = m
+                    w[(x + 1) % 3], w[(x + 2) % 3] = y, z
+                    yield tuple(w)
+
+    return _verified_solutions(query, candidates())
 
 
 # ------------------------------------------------------------ the sweeps
@@ -490,6 +485,12 @@ def lemma_report(max_entry: int) -> LemmaReport:
     violations = []
     abbr_dev = 0
     abbr_samples = []
+
+    def record(length: int) -> dict:
+        # the configuration the loop is at, with the chain length reported
+        return {"config": list(w), "announcer": PLAYERS[player], "round": rnd,
+                "chain_length": length, "bounds": [lo, hi]}
+
     for w in _all_configs(max_entry):
         checked += 1
         turn, player = first_announcement(w)
@@ -498,23 +499,11 @@ def lemma_report(max_entry: int) -> LemmaReport:
         l_abbr = chain_length(w)
         l_full = l_abbr if is_base(w) else l_abbr + 1
         if not lo <= l_full <= hi:
-            violations.append({
-                "config": list(w),
-                "announcer": PLAYERS[player],
-                "round": rnd,
-                "chain_length": l_full,
-                "bounds": [lo, hi],
-            })
+            violations.append(record(l_full))
         if not lo <= l_abbr <= hi:
             abbr_dev += 1
             if len(abbr_samples) < 5:
-                abbr_samples.append({
-                    "config": list(w),
-                    "announcer": PLAYERS[player],
-                    "round": rnd,
-                    "chain_length": l_abbr,
-                    "bounds": [lo, hi],
-                })
+                abbr_samples.append(record(l_abbr))
     return LemmaReport(
         max_entry=max_entry,
         convention="full-chain",

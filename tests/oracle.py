@@ -3,9 +3,9 @@
 Everything here is deliberately written against different primitives
 than the package uses: values via explicit 3x3 matrix products, cluster
 statistics via a per-position outward scan, Fibonacci numbers via plain
-iteration, hat announcements via the literal turn recursion, and both
-sides of the Stern-Brocot generations as whole rows of pairs.  Slow and
-dumb on purpose.
+iteration, hat announcements via the literal turn recursion, chain
+lengths via single sigma steps, and both sides of the Stern-Brocot
+generations as whole rows of pairs.  Slow and dumb on purpose.
 """
 
 from array import array
@@ -14,7 +14,7 @@ from itertools import islice, product
 from math import gcd
 from operator import add, lt, mul
 
-from fibtree.threehat import _chain_length_normalized, chain_length, validate_config
+from fibtree.threehat import validate_config
 
 M0 = ((1, 0, 0), (0, 0, 1), (1, 0, 1))  # (a, b, c) -> (a, c, a+c)
 M1 = ((0, 1, 0), (0, 0, 1), (0, 1, 1))  # (a, b, c) -> (b, c, b+c)
@@ -161,6 +161,17 @@ def is_prime_by_division(n):
     return sum(n % k == 0 for k in range(1, n + 1)) == 2
 
 
+def chain_length_by_sigma(w) -> int:
+    """Abbreviated chain length by iterating sigma one step at a time:
+    the configurations before the base, or 1 for a base."""
+    s = sorted(w)
+    steps = 0
+    while s[0] != s[1]:
+        s = sorted((s[0], s[1], s[1] - s[0]))  # the maximum becomes the difference
+        steps += 1
+    return max(steps, 1)
+
+
 def reference_announcement(w, cap: int | None = None) -> int | None:
     """Earliest announcing turn <= cap by direct evaluation of the recursion.
 
@@ -172,9 +183,9 @@ def reference_announcement(w, cap: int | None = None) -> int | None:
     """
     w = validate_config(w)
     if cap is None:
-        cap = 3 * (chain_length(w) + 2)
+        cap = 3 * (chain_length_by_sigma(w) + 2)
     ann_memo: dict[tuple, bool] = {}
-    first_memo: dict[tuple, list] = {}
+    first_memo: dict[tuple, list] = {}  # [last turn tried, first turn, chain length]
 
     def alternative(cfg, i):
         x, y = cfg[(i + 1) % 3], cfg[(i + 2) % 3]
@@ -195,9 +206,11 @@ def reference_announcement(w, cap: int | None = None) -> int | None:
     def first_by(cfg, budget):
         g = gcd(gcd(cfg[0], cfg[1]), cfg[2])
         cfg = (cfg[0] // g, cfg[1] // g, cfg[2] // g)
-        if budget < _chain_length_normalized(tuple(sorted(cfg))):
+        rec = first_memo.get(cfg)
+        if rec is None:
+            rec = first_memo[cfg] = [0, None, chain_length_by_sigma(cfg)]
+        if budget < rec[2]:
             return None
-        rec = first_memo.setdefault(cfg, [0, None])
         if rec[1] is not None:
             return rec[1] if rec[1] <= budget else None
         t = rec[0] + 1

@@ -213,6 +213,24 @@ def test_sb_check_within_the_digit_limit_runs(capsys, monkeypatch, limit, depth)
     assert out.count("\n") == depth + 1
 
 
+# The excluded counts of hat solve reach about 2**hi, hi = bounds(solver,
+# rounds)[1], and pass 4,300 decimal digits from hi = 14,284: the first
+# refused --rounds is the first whose output would fail.
+@pytest.mark.parametrize("solver, last", [("A", 4762), ("B", 4761), ("C", 4761)])
+def test_hat_solve_rounds_past_the_digit_limit_are_refused_up_front(
+        capsys, monkeypatch, solver, last):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    argv = ["hat", "solve", "--solver", solver, "--value", "6", "--unsafe-no-cap",
+            "--format", "json", "--rounds"]
+    rc, out, _ = run(capsys, *argv, str(last))
+    assert rc == 0 and len(str(max(json.loads(out)["excluded"].values()))) == 4300
+    monkeypatch.setattr(threehat, "solve_puzzle", _refuse_work)
+    rc, out, err = run(capsys, *argv, str(last + 1))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --rounds {last + 1} gives counts of more than 4300 "
+                   "decimal digits, the interpreter's limit for integer output\n")
+
+
 # ---------------------------------------------------------------- scans
 
 def test_scan_conjecture_streams_and_counts(capsys):
@@ -901,6 +919,15 @@ GOLDEN_DIGESTS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hat solve --solver B --rounds 4 --value 720", "csv", 0,
      "d0ef1cf34b7e8813f2bf2c666c49cef59965d4f66fbcb12fe7a382e44721bfa9",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 60 --oracle-cap 120", "text", 0,
+     "7a461911ec302a4ac7899b5b3df78c036bf2f254a0136f8a88737e3eb848cefc",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 60 --oracle-cap 120", "json", 0,
+     "2c343d4de76e032c29c7c196355969be863f69c8312515ff04b1785336141260",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 60 --oracle-cap 120", "csv", 0,
+     "7ad964c4a60b5483b11022bfe9c4736e9445ef10a5573c1eb04b71a87c2348eb",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("frobnicate", "text", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -2,7 +2,7 @@ import operator
 import tracemalloc
 from array import array
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given
@@ -183,7 +183,13 @@ def _kernel(a0, a1):
     return rows
 
 
+def _fresh_certificate(monkeypatch):
+    """A new cache for the certificate, so no verdict outlives its test."""
+    monkeypatch.setattr(sternbrocot, "_certified", cache(sternbrocot._certified.__wrapped__))
+
+
 def _install(monkeypatch, steps):
+    _fresh_certificate(monkeypatch)
     monkeypatch.setattr(sternbrocot, "_rows", _kernel(steps["A0"], steps["A1"]))
     monkeypatch.setattr(sternbrocot, "_left", partial(_apply, steps["L"]))
     monkeypatch.setattr(sternbrocot, "_right", partial(_apply, steps["R"]))
@@ -254,11 +260,27 @@ def test_only_doubling_steps_certify_the_counts(monkeypatch, steps, grows):
 
 @pytest.mark.parametrize("root", [(1, 2, 3), (2, 1, 3), (1, 3, 4), (2, 3, 5)])
 def test_the_base_case_reads_the_root(monkeypatch, root):
+    _fresh_certificate(monkeypatch)
     monkeypatch.setattr(sternbrocot, "ROOT", root)
     equal = all(operator.eq(*_sides(c)) for c in range(0, 5))
     assert equal == (set(root[:2]) == {1, 2})
     for c in range(1, 5):
         assert check_generation(c).equal == equal
+
+
+def test_the_certificate_is_derived_once_per_process(monkeypatch):
+    calls = []
+
+    def counting_rows(*args):
+        calls.append(args)
+        return _rows(*args)
+
+    _fresh_certificate(monkeypatch)
+    monkeypatch.setattr(sternbrocot, "_rows", counting_rows)
+    for c in range(1, 201):
+        assert check_generation(c) == (c, True, 2 ** (c + 1), 2 ** (c + 1))
+    # A0 and A1, read off the unit pairs once, not once a depth
+    assert calls == [(1, 1, 0), (1, 0, 1)]
 
 
 def test_check_generation_memory():

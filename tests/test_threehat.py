@@ -31,7 +31,7 @@ from fibtree import (
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
 from fibtree.threehat import _all_configs, _chain_length_normalized, _divisors
-from oracle import is_prime_by_division, reference_announcement
+from oracle import chain_length_by_sigma, is_prime_by_division, reference_announcement
 
 
 # -------------------------------------------------------- configurations
@@ -123,6 +123,7 @@ def test_chain_length_counts_the_chain():
     for a in range(1, 300):
         for b in range(a, 300 - a):
             want = len(chain((a, b, a + b)))
+            assert chain_length_by_sigma((a, b, a + b)) == want
             for w in permutations((a, b, a + b)):
                 assert chain_length(w) == want
 
@@ -288,7 +289,28 @@ def test_lemma_window_on_full_chains():
     assert report.violations == []
     # the abbreviated convention misses the window for part of the space
     assert report.abbreviated_deviations == 232
-    assert len(report.abbreviated_samples) == 5
+    assert report.abbreviated_samples == [
+        {"config": [3, 1, 2], "announcer": "A", "round": 2, "chain_length": 1, "bounds": [2, 4]},
+        {"config": [1, 3, 2], "announcer": "B", "round": 2, "chain_length": 1, "bounds": [2, 5]},
+        {"config": [3, 2, 1], "announcer": "A", "round": 2, "chain_length": 1, "bounds": [2, 4]},
+        {"config": [1, 3, 4], "announcer": "C", "round": 2, "chain_length": 2, "bounds": [3, 6]},
+        {"config": [3, 1, 4], "announcer": "C", "round": 2, "chain_length": 2, "bounds": [3, 6]},
+    ]
+
+
+def test_lemma_violations_are_recorded(monkeypatch):
+    # a window of [1, 1] holds the bases (full chain length 1) and misses
+    # the six non-base configurations, whose full chains have length 2
+    monkeypatch.setattr(fibtree.threehat, "bounds", lambda solver, n: (1, 1))
+    report = lemma_report(3)
+    assert report.checked == 9
+    assert report.violations[0] == {"config": [3, 1, 2], "announcer": "A", "round": 2,
+                                    "chain_length": 2, "bounds": [1, 1]}
+    assert [(v["config"], v["announcer"], v["round"]) for v in report.violations] == [
+        ([3, 1, 2], "A", 2), ([1, 3, 2], "B", 2), ([1, 2, 3], "C", 1),
+        ([3, 2, 1], "A", 2), ([2, 3, 1], "B", 1), ([2, 1, 3], "C", 1)]
+    assert all(v["chain_length"] == 2 and v["bounds"] == [1, 1] for v in report.violations)
+    assert (report.abbreviated_deviations, report.abbreviated_samples) == (0, [])
 
 
 # --------------------------------------------------------------- puzzle
@@ -421,6 +443,18 @@ def test_solve_cost_at_a_large_value():
     assert [s.config for s in solutions] == sorted({s.config for s in solutions})
     assert all(s.config[1] == 10**5 and s.round == 2 for s in solutions)
     assert elapsed < 5
+    assert peak < 1 << 20
+
+
+def test_brute_solve_streams_its_candidates():
+    # about 2 * cap candidates: a list of them peaked at 24 MB traced
+    tracemalloc.start()
+    try:
+        solutions = brute_solve(PuzzleQuery("A", 1, 3), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solutions == []
     assert peak < 1 << 20
 
 
