@@ -269,16 +269,25 @@ def _cmd_expand(args) -> Doc | int:
                 f"a: {e.a}", f"b: {e.b}", f"k: {e.k}",
                 f"value: {e.value()}"]
         row = [code, e.a, e.b, e.k, e.value()]
-    if args.recursive:
-        tree = expand_recursive(code)
-        products = [list(t) for t in flatten_products(tree)]
+    if not args.recursive:
+        return Doc(lambda: [_dumps(doc)], text, header, [row])
+    # the tree is a DAG, but its spelled-out JSON and product list can grow
+    # exponentially with the code, so each is built only for a format that
+    # writes it, and once
+    tree = expand_recursive(code)
+
+    def recursive_doc():
         doc["tree"] = tree_to_jsonable(tree)
-        doc["products"] = products
+        doc["products"] = [list(t) for t in flatten_products(tree)]
         doc["tree_value"] = tree_value(tree)
-        text.append(f"tree: {_dumps(doc['tree'])}")
-        text.append("products: " + " + ".join(
-            "*".join(f"F({i})" for i in t) for t in products))
-    return Doc(lambda: [_dumps(doc)], text, header, [row])
+        return [_dumps(doc)]
+
+    def recursive_lines():
+        yield f"tree: {_dumps(tree_to_jsonable(tree))}"
+        yield "products: " + " + ".join(
+            "*".join(f"F({i})" for i in t) for t in flatten_products(tree))
+
+    return Doc(recursive_doc, chain(text, recursive_lines()), header, [row])
 
 
 def _cmd_sb_frac(args) -> Doc:
@@ -477,6 +486,8 @@ def _cmd_hat_solve(args) -> Doc:
     query = PuzzleQuery(args.solver, args.rounds, args.value)
     # the excluded counts reach about 2**hi: from --rounds 4,763 (A), 4,762 (B, C)
     _check_digits("--rounds", args.rounds, bounds(query.solver, query.rounds)[1])
+    # with the digit limit off only this cap bounds them, at about 3 * rounds bits
+    _check_cap(args, "--rounds", args.rounds, 10**4)
     result = solve_puzzle(query)
     doc = {"query": query._asdict(), "survivors": result.criteria.survivors,
            "excluded": result.criteria.excluded,
@@ -531,7 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--unsafe-no-cap", action="store_true",
                         help=f"lift the hard caps: {LENGTH_CAP} on lengths and "
                         "depths, 10**9 on --max-entry, 10**6 on hat solve values, "
-                        "10**4 on expand --inverse K and 10**6 on its code length")
+                        "10**4 on its --rounds, 10**4 on expand --inverse K and "
+                        "10**6 on its code length")
     code = shape()
     code.add_argument("code")
     rooted = shape(code)

@@ -111,16 +111,18 @@ def chain(s, abbreviated: bool = True) -> list[tuple[int, int, int]]:
     return out
 
 
+def _abbreviated_length(a: int, b: int) -> int:
+    """len(chain((a, b, a + b))) for 1 <= a <= b, at any scale: sigma is
+    subtractive Euclid on (a, b), so it reaches the base after (sum of the
+    partial quotients of b/a) - 1 steps, and the abbreviated chain holds
+    the configurations before the base, or the base alone."""
+    return max(_quotient_sum(b, a) - 1, 1)
+
+
 @lru_cache(maxsize=4096)
 def _chain_length_normalized(w: tuple[int, int, int]) -> int:
-    """len(chain(w)) for a sorted configuration, from Euclid's quotients.
-
-    Sigma is subtractive Euclid on (a, b): it reaches the base after
-    (sum of the partial quotients of b/a) - 1 steps, and the abbreviated
-    chain holds the configurations before the base, or the base alone.
-    """
-    a, b, _ = w
-    return max(_quotient_sum(b, a) - 1, 1)
+    """len(chain(w)) for a sorted configuration."""
+    return _abbreviated_length(w[0], w[1])
 
 
 def chain_length(w) -> int:
@@ -352,7 +354,7 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
 
     # tree depth is chain length; uncached, as each split is seen once
     survivors = sorted(s for c in divisors for s in _states_with_sum(c)
-                       if p3 <= _chain_length_normalized.__wrapped__(s) <= q2)
+                       if p3 <= _abbreviated_length(s[0], s[1]) <= q2)
     excluded["divisibility"] = window(p3, q2) - len(survivors)
 
     return CriteriaReport(
@@ -446,15 +448,20 @@ def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
 # ------------------------------------------------------------ the sweeps
 
 def _all_configs(max_entry: int):
-    """Every configuration with entries <= max_entry, each once: the sum s
-    is the unique maximum, so its slot and the split x + y tell the
-    triples apart."""
+    """Every configuration with entries <= max_entry, each once, as
+    (config, first announcement, abbreviated and full chain lengths).
+
+    The sum s is the unique maximum, so its slot and the split x + y tell
+    the 3 * N * (N - 1) / 2 triples apart.  The three placings of a split
+    share its chain length, read once; the full chain adds the base
+    unless the split is the base itself, x == y.
+    """
     for s in range(2, max_entry + 1):
         for x in range(1, s):
             y = s - x
-            yield (s, x, y)
-            yield (x, s, y)
-            yield (x, y, s)
+            length = _abbreviated_length(min(x, y), max(x, y))
+            for w in ((s, x, y), (x, s, y), (x, y, s)):
+                yield w, first_announcement(w), length, length + (x != y)
 
 
 class LemmaReport(NamedTuple):
@@ -481,7 +488,6 @@ def lemma_report(max_entry: int) -> LemmaReport:
     choice, not the dialogue.
     """
     _require_int("max_entry", max_entry, 2)
-    checked = 0
     violations = []
     abbr_dev = 0
     abbr_samples = []
@@ -491,13 +497,9 @@ def lemma_report(max_entry: int) -> LemmaReport:
         return {"config": list(w), "announcer": PLAYERS[player], "round": rnd,
                 "chain_length": length, "bounds": [lo, hi]}
 
-    for w in _all_configs(max_entry):
-        checked += 1
-        turn, player = first_announcement(w)
+    for w, (turn, player), l_abbr, l_full in _all_configs(max_entry):
         rnd = (turn + 2) // 3
         lo, hi = bounds(PLAYERS[player], rnd)
-        l_abbr = chain_length(w)
-        l_full = l_abbr if is_base(w) else l_abbr + 1
         if not lo <= l_full <= hi:
             violations.append(record(l_full))
         if not lo <= l_abbr <= hi:
@@ -507,7 +509,7 @@ def lemma_report(max_entry: int) -> LemmaReport:
     return LemmaReport(
         max_entry=max_entry,
         convention="full-chain",
-        checked=checked,
+        checked=3 * max_entry * (max_entry - 1) // 2,
         violations=violations,
         abbreviated_deviations=abbr_dev,
         abbreviated_samples=abbr_samples,
@@ -523,12 +525,7 @@ class DivergenceReport(NamedTuple):
 def divergence_sweep(max_entry: int) -> DivergenceReport:
     """Every configuration must announce within 3 * (L + 2) turns."""
     _require_int("max_entry", max_entry, 2)
-    checked = 0
-    divergences = []
-    for w in _all_configs(max_entry):
-        checked += 1
-        turn, _ = first_announcement(w)
-        cap = 3 * (chain_length(w) + 2)
-        if turn > cap:
-            divergences.append({"config": list(w), "turn": turn, "cap": cap})
-    return DivergenceReport(max_entry=max_entry, checked=checked, divergences=divergences)
+    divergences = [{"config": list(w), "turn": turn, "cap": 3 * (length + 2)}
+                   for w, (turn, _), length, _ in _all_configs(max_entry)
+                   if turn > 3 * (length + 2)]
+    return DivergenceReport(max_entry, 3 * max_entry * (max_entry - 1) // 2, divergences)

@@ -6,6 +6,10 @@ statistics via a per-position outward scan, Fibonacci numbers via plain
 iteration, hat announcements via the literal turn recursion, chain
 lengths via single sigma steps, and both sides of the Stern-Brocot
 generations as whole rows of pairs.  Slow and dumb on purpose.
+
+The hat sweeps are judged by the per-configuration loops they replaced:
+one first_announcement, chain_length and is_base call per configuration,
+each of which the suite judges on its own against this module.
 """
 
 from array import array
@@ -14,6 +18,7 @@ from itertools import islice, product
 from math import gcd
 from operator import add, lt, mul
 
+from fibtree import threehat
 from fibtree.threehat import validate_config
 
 M0 = ((1, 0, 0), (0, 0, 1), (1, 0, 1))  # (a, b, c) -> (a, c, a+c)
@@ -223,3 +228,55 @@ def reference_announcement(w, cap: int | None = None) -> int | None:
         return None
 
     return first_by(w, cap)
+
+
+def configs_by_slots(max_entry):
+    """Every configuration with entries <= max_entry, in the sweeps' order:
+    by sum s, then split x + y, then the sum's slot."""
+    for s in range(2, max_entry + 1):
+        for x in range(1, s):
+            y = s - x
+            yield (s, x, y)
+            yield (x, s, y)
+            yield (x, y, s)
+
+
+def lemma_report_by_configs(max_entry):
+    """lemma_report as one loop of per-configuration calls; bounds is read
+    from the module at call time, so a patched window applies here too."""
+    checked = 0
+    violations = []
+    abbr_dev = 0
+    abbr_samples = []
+    for w in configs_by_slots(max_entry):
+        checked += 1
+        turn, player = threehat.first_announcement(w)
+        rnd = (turn + 2) // 3
+        announcer = threehat.PLAYERS[player]
+        lo, hi = threehat.bounds(announcer, rnd)
+        l_abbr = threehat.chain_length(w)
+        l_full = l_abbr if threehat.is_base(w) else l_abbr + 1
+        if not lo <= l_full <= hi:
+            violations.append({"config": list(w), "announcer": announcer, "round": rnd,
+                               "chain_length": l_full, "bounds": [lo, hi]})
+        if not lo <= l_abbr <= hi:
+            abbr_dev += 1
+            if len(abbr_samples) < 5:
+                abbr_samples.append({"config": list(w), "announcer": announcer,
+                                     "round": rnd, "chain_length": l_abbr,
+                                     "bounds": [lo, hi]})
+    return threehat.LemmaReport(max_entry, "full-chain", checked, violations,
+                                abbr_dev, abbr_samples)
+
+
+def divergence_sweep_by_configs(max_entry):
+    """divergence_sweep as one loop of per-configuration calls."""
+    checked = 0
+    divergences = []
+    for w in configs_by_slots(max_entry):
+        checked += 1
+        turn, _ = threehat.first_announcement(w)
+        cap = 3 * (threehat.chain_length(w) + 2)
+        if turn > cap:
+            divergences.append({"config": list(w), "turn": turn, "cap": cap})
+    return threehat.DivergenceReport(max_entry, checked, divergences)

@@ -231,6 +231,27 @@ def test_hat_solve_rounds_past_the_digit_limit_are_refused_up_front(
                    "decimal digits, the interpreter's limit for integer output\n")
 
 
+# With the digit limit off (0) nothing above refuses --rounds, and the
+# counts of about 3 * rounds bits grew past a gigabyte at 10**9: the
+# --rounds cap of 10**4 refuses it, after the digit check, so a refusal
+# that check makes keeps its message.
+def test_hat_solve_rounds_cap_holds_with_the_digit_limit_off(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    calls = []
+    monkeypatch.setattr(threehat, "solve_puzzle", lambda q: (
+        calls.append(q.rounds) or threehat.SolveResult(
+            q, threehat.CriteriaReport(q, [], {}, 0), [])))
+    argv = ["hat", "solve", "--solver", "A", "--value", "6", "--format", "json"]
+    for rounds in ("10001", "1000000000"):
+        rc, out, err = run(capsys, *argv, "--rounds", rounds)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --rounds {rounds} exceeds the hard cap 10000 "
+                       "(pass --unsafe-no-cap to override)\n")
+    assert run(capsys, *argv, "--rounds", "10000")[0] == 0
+    assert run(capsys, *argv, "--rounds", "10001", "--unsafe-no-cap")[0] == 0
+    assert calls == [10000, 10001]
+
+
 # ---------------------------------------------------------------- scans
 
 def test_scan_conjecture_streams_and_counts(capsys):
@@ -967,9 +988,9 @@ def _child_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _child(*args):
+def _child(*args, env=()):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=_child_env(), timeout=120)
+                          text=True, env=dict(_child_env(), **dict(env)), timeout=120)
 
 
 # Prints the modules that a bare `import fibtree`, or one command given
@@ -1049,24 +1070,72 @@ code = subprocess.run(argv).returncode
 print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
+# A command (after any NAME=value settings of its environment), its exit
+# code and its peak-RSS bound in MB; the interpreter alone takes about
+# 16 MB.  Exit 3 means the scan found classes or counterexample pairs, as
+# it does at these sizes.
+PEAK_RSS_BOUNDS = [
+    # every format builds each turn record and chain link as it is
+    # written, JSON as one piece of the object; over 150,000 turns the
+    # whole JSON object took 64 MB, a list of turn records and its JSON
+    # object 67 MB, and a list of links 36 MB
+    ("hat simulate 1 100000 100001 --format json", 0, 32),
+    ("hat simulate 1 100000 100001 --format text", 0, 32),
+    ("hat simulate 1 100000 100001 --format csv", 0, 32),
+    ("hat chain 1 100000 100001 --full --format json", 0, 32),
+    ("hat chain 1 100000 100001 --full --format csv", 0, 32),
+    ("hat simulate 1 1000000 1000001 --format text", 0, 32),
+    ("hat simulate 1 1000000 1000001 --format json", 0, 32),
+    ("hat chain 1 1000000 1000001 --full --format csv", 0, 32),
+    ("hat chain 1 1000000 1000001 --full --format json", 0, 32),
+    # groups only the codes t <= refl(t), about 7 bytes a code
+    ("scan converse --len 20 --format json", 3, 32),
+    # an induction certificate on 2x2 matrices, O(1) a depth
+    ("sb check --depth 16 --format json", 0, 32),
+    ("sb check --depth 30 --format json", 0, 32),
+    # one span recursion, O(1) a length
+    ("scan roots --max-entry 400 --depth 30 --format json", 0, 32),
+    ("scan reflection --max-len 30 --format json", 0, 32),
+    # candidates from the divisors, streamed
+    ("hat solve --solver B --rounds 2 --value 100000 --format json", 0, 32),
+    # brute_solve streams its candidates
+    ("hat solve --solver A --rounds 1 --value 3 --oracle-cap 1000000 --format json",
+     0, 32),
+    # one value sort per weight class, one int a code
+    ("scan conjecture --len 14 --weight 7 --format csv", 3, 32),
+    # a totient sum over O(sqrt(N)) quotients
+    ("scan roots --max-entry 100000000 --depth 12 --format json", 0, 32),
+    # refused before any work, past a cap
+    ("scan roots --max-entry 1000000001 --depth 12 --format json", 2, 32),
+    ("hat solve --solver B --rounds 2 --value 1000001 --format json", 2, 32),
+    ("expand --inverse 1 1 40000 --format json", 2, 32),
+    ("expand --inverse 1 10000000 2 --format json", 2, 32),
+    (f"expand {'0' * 3000} --recursive --format json", 2, 32),
+    # past the 4,300-digit output limit, and with the limit off past the
+    # --rounds cap
+    ("hat solve --solver A --rounds 1000000000 --value 6 --format json", 2, 32),
+    ("PYTHONINTMAXSTRDIGITS=0 hat solve --solver A --rounds 1000000000 --value 6"
+     " --format json", 2, 32),
+    # the tree's spelled-out JSON and products are built for JSON and text only
+    (f"expand {'01' * 40} --recursive --format csv", 0, 32),
+]
+
+
+def _rss_id(command: str, bound_mb: int) -> str:
+    # a long code is named by its length
+    words = (w if len(w) < 40 else f"<{len(w)} bits>" for w in command.split())
+    return f"{' '.join(words)}-{bound_mb}"
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
-@pytest.mark.parametrize("command, bound_mb", [
-    # every format builds each turn record and chain link as it is
-    # written, JSON as one piece of the object, so all stay near the
-    # interpreter's own 16 MB; over 150,000 turns the whole JSON object
-    # took 64 MB, a list of turn records and its JSON object 67 MB, and a
-    # list of links 36 MB
-    ("hat simulate 1 100000 100001 --format json", 32),
-    ("hat simulate 1 100000 100001 --format text", 32),
-    ("hat simulate 1 100000 100001 --format csv", 32),
-    ("hat chain 1 100000 100001 --full --format json", 32),
-    ("hat chain 1 100000 100001 --full --format csv", 32),
-])
-def test_hat_peak_rss(command, bound_mb):
-    proc = _child("-c", PEAK_RSS, *command.split())
+@pytest.mark.parametrize("command, want, bound_mb", [
+    pytest.param(*row, id=_rss_id(row[0], row[2])) for row in PEAK_RSS_BOUNDS])
+def test_hat_peak_rss(command, want, bound_mb):
+    words = command.split()
+    env = [w.split("=", 1) for w in words if "=" in w]
+    proc = _child("-c", PEAK_RSS, *words[len(env):], env=env)
     code, peak_kb = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
+    assert code == want, proc.stderr
     assert peak_kb < bound_mb * 1024
 
 

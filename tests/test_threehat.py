@@ -31,7 +31,8 @@ from fibtree import (
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
 from fibtree.threehat import _all_configs, _chain_length_normalized, _divisors
-from oracle import chain_length_by_sigma, is_prime_by_division, reference_announcement
+from oracle import (chain_length_by_sigma, divergence_sweep_by_configs, is_prime_by_division,
+                    lemma_report_by_configs, reference_announcement)
 
 
 # -------------------------------------------------------- configurations
@@ -179,7 +180,7 @@ def test_transcript_holds_no_turn_records():
 
 def test_closed_form_matches_recursion_everywhere():
     # every configuration with entries <= 30, against the slow recursion
-    for w in _all_configs(30):
+    for w, *_ in _all_configs(30):
         turn, player = first_announcement(w)
         assert reference_announcement(w) == turn, w
         assert w[player] == max(w)
@@ -241,8 +242,37 @@ def test_divergence_sweep_is_empty():
 
 
 def test_all_configs_yields_each_configuration_once():
-    configs = list(_all_configs(30))
+    configs = [w for w, *_ in _all_configs(30)]
     assert len(set(configs)) == len(configs) == 3 * 30 * 29 // 2
+
+
+# The judges are the per-configuration loops the sweeps replaced; whole
+# reports are compared, the order of the samples included.
+@pytest.mark.parametrize("max_entry", [2, 3, 60, 120, 400])
+def test_sweeps_match_the_per_configuration_loops(max_entry):
+    assert lemma_report(max_entry) == lemma_report_by_configs(max_entry)
+    assert divergence_sweep(max_entry) == divergence_sweep_by_configs(max_entry)
+
+
+def test_lemma_violations_match_the_per_configuration_loop(monkeypatch):
+    # a narrow window, so that both conventions record violations
+    monkeypatch.setattr(fibtree.threehat, "bounds", lambda solver, n: (2, 3))
+    report = lemma_report(30)
+    assert report.violations and report.abbreviated_samples
+    assert report == lemma_report_by_configs(30)
+
+
+def _no_call(*args):
+    raise AssertionError("a sweep called a per-configuration chain function")
+
+
+def test_sweeps_read_each_split_once(monkeypatch):
+    # the sum split fixes the chain length and the base; the sweeps call
+    # none of the per-configuration functions behind them
+    want = lemma_report_by_configs(60), divergence_sweep_by_configs(60)
+    for name in ("chain_length", "is_base", "normalize"):
+        monkeypatch.setattr(fibtree.threehat, name, _no_call)
+    assert (lemma_report(60), divergence_sweep(60)) == want
 
 
 SWEEPS = {
