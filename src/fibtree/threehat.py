@@ -229,14 +229,6 @@ def dialogue_simulate(w) -> Transcript:
 
 # ------------------------------------------------- chains versus the tree
 
-def _states_with_sum(c: int) -> Iterator[tuple[int, int, int]]:
-    """The tree states with third entry c, by first entry: the coprime
-    splits (a, c - a, c) with a < c - a.  None below c = 3."""
-    for a in range(1, (c + 1) // 2):
-        if gcd(a, c) == 1:
-            yield (a, c - a, c)
-
-
 class ChainTreeVerdict(NamedTuple):
     bound: int
     equal: bool
@@ -253,7 +245,9 @@ def chains_equal_tree(bound: int) -> ChainTreeVerdict:
     """
     _require_int("bound", bound, 3)
     tree = dict(enumerate_states(bound))
-    configs = {s for c in range(3, bound + 1) for s in _states_with_sum(c)}
+    # the coprime splits (a, c - a, c) with a < c - a
+    configs = {(a, c - a, c) for c in range(3, bound + 1)
+               for a in range(1, (c + 1) // 2) if gcd(a, c) == 1}
     mismatches = []
     for cfg in configs:
         ch = chain(cfg)
@@ -302,12 +296,6 @@ class CriteriaReport(NamedTuple):
     considered: int
 
 
-def _divisors(m: int) -> list[int]:
-    """The divisors of m >= 1, ascending, by trial division up to isqrt(m)."""
-    small = [d for d in range(1, isqrt(m) + 1) if not m % d]
-    return small + [m // d for d in reversed(small) if d * d != m]
-
-
 def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     """The published pruning pipeline, reported stage by stage.
 
@@ -324,14 +312,16 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     window of depths; the tree holds exactly 2^(L-1) states of chain
     length L, so those exclusion counts are closed-form window sums
     rather than a walk over 2^hi states.  Only the divisibility stage
-    looks at the states: those whose third entry c divides the value are
-    the coprime splits of each divisor c, read off without a walk.  The
-    reported numbers are identical to filtering the full depth-hi
-    enumeration stage by stage.
+    looks at the states.  Those whose value divides m are the splits
+    y + (m - y) with y < m - y, each divided by g = gcd(y, m): a split is
+    the state (y/g, (m - y)/g, m/g), and every such state is one split.
+    Euclid's quotients do not depend on scale, so the split's chain
+    length is the state's.  Cost: (m - 1)//2 quotient sums, plus a gcd
+    per kept split.  The reported numbers are identical to filtering the
+    full depth-hi enumeration stage by stage.
     """
     lo, hi = bounds(query.solver, query.rounds)
     m = query.value
-    divisors = _divisors(m)
 
     def window(p: int, q: int) -> int:
         # tree states with chain length in [p, q]
@@ -341,7 +331,7 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
 
     q2 = min(hi, m - 2)
     p3 = lo
-    if len(divisors) == 2:  # m is prime
+    if m > 1 and all(m % d for d in range(2, isqrt(m) + 1)):  # m is prime
         while fib(p3 + 3) < m:
             p3 += 1
 
@@ -352,9 +342,12 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
         "prime_upper_bound": window(lo, q2) - window(p3, q2),
     }
 
-    # tree depth is chain length; uncached, as each split is seen once
-    survivors = sorted(s for c in divisors for s in _states_with_sum(c)
-                       if p3 <= _abbreviated_length(s[0], s[1]) <= q2)
+    survivors = []  # uncached lengths, as each split is seen once
+    for y in range(1, (m + 1) // 2):
+        if p3 <= _abbreviated_length(y, m - y) <= q2:
+            g = gcd(y, m)
+            survivors.append((y // g, (m - y) // g, m // g))
+    survivors.sort()
     excluded["divisibility"] = window(p3, q2) - len(survivors)
 
     return CriteriaReport(
@@ -390,35 +383,32 @@ def _verified_solutions(query: PuzzleQuery, candidates) -> list[Solution]:
 def solve_puzzle(query: PuzzleQuery) -> SolveResult:
     """All positioned configurations answering the query, dialogue-verified.
 
-    Candidates are the primitive states whose value c divides the query
-    value, read off as the coprime splits of each divisor c (see
-    chains_equal_tree), scaled up and placed with the solver holding the
-    maximum (the announcer always holds the maximum, so this placement is
-    complete).  The chain-length window of criterion 1 is reported via
-    apply_criteria but deliberately not used to prune: the window is
+    The announcer always holds the sum, so the candidates are the splits
+    m = y + (m - y) of the query value m, with m in the solver's slot and
+    (y, m - y) in the next two, less the base y = m - y.  These are the
+    states of apply_criteria's divisibility stage, scaled up to m and
+    placed both ways.  The chain-length window of criterion 1 is reported
+    via apply_criteria but deliberately not used to prune: the window is
     calibrated to a cue-based dialogue model and cuts genuine solutions
     under the announcement semantics used here (brute_solve agrees with
     this choice; base configurations remain out of reach of any
     state-scaling pipeline and only brute_solve finds them).
 
-    Cost at value m: sigma(m) gcd tests, half here and half in
-    apply_criteria, plus one first_announcement per candidate, of which
-    there are at most m.  Memory: the solutions and the divisors, as the
-    candidates stream one at a time.
+    Cost at value m: m - 2 first announcements for even m and m - 1 for
+    odd m, plus apply_criteria's (m - 1)//2 quotient sums.  Memory: the
+    solutions, as the candidates stream one at a time.
     """
     criteria = apply_criteria(query)
     x = PLAYERS.index(query.solver)
     m = query.value
 
     def candidates():
-        for c in _divisors(m):
-            lam = m // c
-            for a, b, _ in _states_with_sum(c):
-                for pair in ((lam * a, lam * b), (lam * b, lam * a)):
-                    w = [0, 0, 0]
-                    w[x] = m
-                    w[(x + 1) % 3], w[(x + 2) % 3] = pair
-                    yield tuple(w)
+        for y in range(1, m):
+            if 2 * y != m:
+                w = [0, 0, 0]
+                w[x] = m
+                w[(x + 1) % 3], w[(x + 2) % 3] = y, m - y
+                yield tuple(w)
 
     return SolveResult(query, criteria, _verified_solutions(query, candidates()))
 

@@ -950,6 +950,33 @@ GOLDEN_DIGESTS = [
     ("hat solve --solver A --rounds 3 --value 60 --oracle-cap 120", "csv", 0,
      "7ad964c4a60b5483b11022bfe9c4736e9445ef10a5573c1eb04b71a87c2348eb",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 6 --value 997", "text", 0,
+     "071f96fbc3262640b7a013cae65d86cc40ebf658623781a64c320c7b378536e7",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 6 --value 997", "json", 0,
+     "578687ca3afd0aa9f17c48c120d6994161b7f5d21699c0b0e2b22275ee87ba01",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 6 --value 997", "csv", 0,
+     "0931badcbdf8537b8c11db2aff461278c6096c511dff56c9564ef50dcd16f5e9",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 5 --value 961", "text", 0,
+     "230e6f9aaba48ab91803a9cae2226fbb20906ece23f046810d0bc7996081a024",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 5 --value 961", "json", 0,
+     "367c498f3f13d83822a0aa3363cf03c4958d5c4b6ee2402a1b80a4d478f256db",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver C --rounds 5 --value 961", "csv", 0,
+     "3ba975cc6965af8e2a3a01e468aa2a0c9a8674593bea31e07c0677e538cfa363",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 3 --value 5040", "text", 0,
+     "57b9fb9950cee82ab27acdd2d8cd43a8a0eb0715b7b90c59781d40566af7b9a9",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 3 --value 5040", "json", 0,
+     "dc6916a4497162da90d15a8b0cb055644474d18ae312ebde9ca436486ef23298",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver B --rounds 3 --value 5040", "csv", 0,
+     "fcf85241e478a4296bd6a9bb6ad636e62dc0f5154a195b227a41a72264835d7b",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("frobnicate", "text", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "567a1073354574fa9f544a380dc888ef42f8b5f67f4bb35b34105d74c2c906e7"),
@@ -1096,7 +1123,7 @@ PEAK_RSS_BOUNDS = [
     # one span recursion, O(1) a length
     ("scan roots --max-entry 400 --depth 30 --format json", 0, 32),
     ("scan reflection --max-len 30 --format json", 0, 32),
-    # candidates from the divisors, streamed
+    # candidates from the sum splits of the value, streamed
     ("hat solve --solver B --rounds 2 --value 100000 --format json", 0, 32),
     # brute_solve streams its candidates
     ("hat solve --solver A --rounds 1 --value 3 --oracle-cap 1000000 --format json",

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter, defaultdict
 from itertools import permutations
 from math import gcd
 
@@ -19,6 +20,7 @@ from fibtree import (
     chains_equal_tree,
     dialogue_simulate,
     divergence_sweep,
+    enumerate_states,
     first_announcement,
     is_base,
     iter_chain,
@@ -30,9 +32,9 @@ from fibtree import (
 )
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
-from fibtree.threehat import _all_configs, _chain_length_normalized, _divisors
-from oracle import (chain_length_by_sigma, divergence_sweep_by_configs, is_prime_by_division,
-                    lemma_report_by_configs, reference_announcement)
+from fibtree.threehat import _all_configs, _chain_length_normalized
+from oracle import (chain_length_by_sigma, divergence_sweep_by_configs, fib_by_addition,
+                    is_prime_by_division, lemma_report_by_configs, reference_announcement)
 
 
 # -------------------------------------------------------- configurations
@@ -294,13 +296,6 @@ def test_sweep_sizes_are_checked(name):
             sweep(size)
 
 
-def test_sweeps_check_every_configuration():
-    # 3 * N * (N - 1) / 2 configurations: three slots for the sum s, and
-    # s - 1 splits of s for each s in 2..N
-    assert divergence_sweep(400).checked == 239_400
-    assert lemma_report(400).checked == 239_400
-
-
 # ------------------------------------------ chains versus the state tree
 
 def test_chains_mirror_tree_paths():
@@ -415,6 +410,46 @@ def test_criteria_counts_match_literal_enumeration():
                 assert (r.considered, r.excluded, r.survivors) == literal(q), q
 
 
+def test_criteria_match_the_states_grouped_by_value():
+    # the judge: the tree states counted by chain length in a literal walk
+    # to depth 18, the deepest window of rounds 1 to 6, and the states of
+    # value <= 400 grouped by value with their chain lengths
+    per_length = Counter()
+    stack = [((1, 2, 3), 1)]
+    while stack:
+        (a, b, c), length = stack.pop()
+        per_length[length] += 1
+        if length < 18:
+            stack += [((a, c, a + c), length + 1), ((b, c, b + c), length + 1)]
+    by_value = defaultdict(list)
+    for s, _ in enumerate_states(400):
+        by_value[s[2]].append((s, len(chain(s))))
+
+    for m in range(1, 401):
+        prime = is_prime_by_division(m)
+        states = [(s, L) for c in by_value if m % c == 0 for s, L in by_value[c]]
+        for solver in "ABC":
+            for n in range(1, 7):
+                lo, hi = bounds(solver, n)
+                stages = {
+                    "chain_length": lambda L: lo <= L <= hi,
+                    "value_lower_bound": lambda L: L + 2 <= m,
+                    "prime_upper_bound": lambda L: not prime or fib_by_addition(L + 3) >= m,
+                }
+                lengths = [L for L in per_length if L <= hi]
+                considered = sum(per_length[L] for L in lengths)
+                excluded = {}
+                for name, keep in stages.items():
+                    kept = [L for L in lengths if keep(L)]
+                    excluded[name] = sum(per_length[L] for L in lengths if L not in kept)
+                    lengths = kept
+                survivors = sorted(s for s, L in states if L in lengths)
+                excluded["divisibility"] = sum(per_length[L] for L in lengths) - len(survivors)
+                report = apply_criteria(PuzzleQuery(solver, n, m))
+                assert (report.survivors, report.excluded, report.considered) == (
+                    survivors, excluded, considered), (solver, n, m)
+
+
 def test_criteria_pipeline_prime_target():
     report = apply_criteria(PuzzleQuery("A", 2, 7))
     assert report.survivors == [(2, 5, 7), (3, 4, 7)]
@@ -451,14 +486,20 @@ def test_solve_agrees_with_brute_force():
                 assert solved == brute, q
 
 
-def test_divisors_ascend():
-    for m in range(1, 500):
-        assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+@pytest.mark.parametrize("m", [360, 720, 961, 997, 1024])
+def test_solve_candidates_are_the_non_base_sum_splits(m):
+    # brute force with cap m places m in the solver's slot and each split
+    # y + (m - y) in the next two, the base y = m - y included
+    for solver in "ABC":
+        for n in range(1, 7):
+            q = PuzzleQuery(solver, n, m)
+            assert solve_puzzle(q).solutions == [
+                s for s in brute_solve(q, m) if not is_base(s.config)], q
 
 
 def test_solve_cost_at_a_large_value():
-    # sigma(m) gcd tests and at most m announcements, streamed: about 0.8 s
-    # and 4 KB traced, where a list of the m candidates would take 13 MB;
+    # m - 2 announcements and m/2 quotient sums, streamed: about 0.8 s and
+    # 4 KB traced, where a list of the m candidates would take 13 MB;
     # walking the tree took time quadratic in m
     q = PuzzleQuery("B", 2, 10**5)
     start = time.perf_counter()
