@@ -8,6 +8,7 @@ from fibtree import (
     chain,
     chain_length,
     dialogue_simulate,
+    lemma_report,
     solve_puzzle,
 )
 
@@ -44,3 +45,11 @@ print(f"solver search for {q.solver}/{q.rounds}/{q.value}: "
       f"{[s.config for s in solve_puzzle(q).solutions]}")
 print(f"exhaustive oracle:  "
       f"{[s.config for s in brute_solve(q, cap=20)]}")
+print()
+
+# every configuration with entries up to a million against the round
+# windows, read off a walk of a few hundred coprime configurations
+rep = lemma_report(10**6)
+print(f"entries <= 10^6: {rep.checked} configurations, "
+      f"{rep.violation_count} window violations, "
+      f"{rep.abbreviated_deviations} abbreviated-convention deviations")

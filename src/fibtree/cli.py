@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .engine import ROOT, as_code, as_state, evaluate, reflect, trace, value
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -634,7 +634,7 @@ def main(argv=None) -> int:
                 found = _render(result, args.format, out)
         else:
             found = _render(result, args.format, sys.stdout)
-    except (DomainError, DivergenceError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A dialogue simulation exceeded its turn cap without an announcement."""
+    """Kept for callers that catch it; nothing raises it, as every dialogue announces."""
 
 
 def _require_int(name: str, n, least: int | None = None) -> None:

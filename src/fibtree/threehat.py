@@ -33,6 +33,18 @@ reference_announcement (tests/oracle.py) implements the turn recursion
 literally, memoized and turn-capped, and the suite checks that both
 agree exhaustively on small configurations.
 
+Every dialogue announces by turn 2L + 1, L the full chain length.  The
+positioned coprime configurations form a tree: the roots, the placings of
+(1, 1, 2), have L = 1 and turn slot + 1, and a node with its maximum in
+slot i has a child for each slot j != i, with the sum of the other two
+entries in slot j, L one more, and turn T' the first of slot j after the
+parent's T.  As T = i + 1 (mod 3), T' - T is 1 or 2, never 3, so L <= T
+and the slack 2L + 1 - T (0, 1 or 2 at a root) never falls.  Hence L
+always lies in the window bounds(announcer, round) = (T // 2, T), and
+T < 3 * (L + 1) keeps within the turn cap 3 * (abbreviated L + 2).  A
+subtree of slack >= 2 holds no violation, no abbreviated deviation
+(T >= 2L) and no divergence; the sweeps skip it when _certified() holds.
+
 Results are plain NamedTuples; the command line decides how they are
 written.
 """
@@ -45,7 +57,7 @@ from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from .engine import _quotient_sum, enumerate_states, trace
-from .errors import DivergenceError, DomainError, _require_int
+from .errors import DomainError, _require_int
 from .expansion import fib
 
 PLAYERS = "ABC"
@@ -214,16 +226,10 @@ class Transcript(NamedTuple):
 
 
 def dialogue_simulate(w) -> Transcript:
-    """Run the dialogue to its first announcement.
-
-    The turn cap 3 * (L + 2) leaves two rounds of slack above the chain
-    length; exceeding it raises DivergenceError rather than looping.
-    """
+    """Run the dialogue to its first announcement, which every dialogue
+    makes by turn 2L + 1 (see the module docstring)."""
     w = validate_config(w)
-    cap = 3 * (chain_length(w) + 2)
     turn, player = first_announcement(w)
-    if turn > cap:
-        raise DivergenceError(f"no announcement for {w} within {cap} turns")
     return Transcript(w, PLAYERS[player], turn, (turn + 2) // 3, w[player])
 
 
@@ -316,9 +322,10 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     y + (m - y) with y < m - y, each divided by g = gcd(y, m): a split is
     the state (y/g, (m - y)/g, m/g), and every such state is one split.
     Euclid's quotients do not depend on scale, so the split's chain
-    length is the state's.  Cost: (m - 1)//2 quotient sums, plus a gcd
-    per kept split.  The reported numbers are identical to filtering the
-    full depth-hi enumeration stage by stage.
+    length is the state's.  Cost: (m - 1)//2 quotient sums, none when the
+    window [p3, q2] is empty, plus a gcd per kept split.  The reported
+    numbers are identical to filtering the full depth-hi enumeration stage
+    by stage.
     """
     lo, hi = bounds(query.solver, query.rounds)
     m = query.value
@@ -343,7 +350,7 @@ def apply_criteria(query: PuzzleQuery) -> CriteriaReport:
     }
 
     survivors = []  # uncached lengths, as each split is seen once
-    for y in range(1, (m + 1) // 2):
+    for y in range(1, (m + 1) // 2 if p3 <= q2 else 1):  # an empty window keeps none
         if p3 <= _abbreviated_length(y, m - y) <= q2:
             g = gcd(y, m)
             survivors.append((y // g, (m - y) // g, m // g))
@@ -437,21 +444,47 @@ def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
 
 # ------------------------------------------------------------ the sweeps
 
-def _all_configs(max_entry: int):
-    """Every configuration with entries <= max_entry, each once, as
-    (config, first announcement, abbreviated and full chain lengths).
+_BASES = ((2, 1, 1), (1, 2, 1), (1, 1, 2))  # the tree's roots, by maximum's slot
 
-    The sum s is the unique maximum, so its slot and the split x + y tell
-    the 3 * N * (N - 1) / 2 triples apart.  The three placings of a split
-    share its chain length, read once; the full chain adds the base
-    unless the split is the base itself, x == y.
-    """
-    for s in range(2, max_entry + 1):
-        for x in range(1, s):
-            y = s - x
-            length = _abbreviated_length(min(x, y), max(x, y))
-            for w in ((s, x, y), (x, s, y), (x, y, s)):
-                yield w, first_announcement(w), length, length + (x != y)
+
+def _next_turn(turn: int, slot: int) -> int:
+    """The first turn after `turn` on which the player in `slot` speaks."""
+    return turn + 1 + (slot - turn) % 3
+
+
+def _certified() -> bool:
+    """The slack bound's premises (module docstring), read on every call:
+    base turns slot + 1, steps of 1 or 2 turns, bounds() on rounds 1-2."""
+    return (all(first_announcement(w)[0] == i + 1 for i, w in enumerate(_BASES))
+            and all(_next_turn(t, j) - t in (1, 2)
+                    for t in (1, 2, 3) for j in range(3) if j != (t - 1) % 3)
+            and all(bounds(PLAYERS[(t - 1) % 3], (t + 2) // 3) == (t // 2, t)
+                    for t in range(1, 7)))
+
+
+def _walk(max_entry: int):
+    """The positioned coprime configurations with maximum <= max_entry, as
+    (config, maximum's slot, turn T, full chain length L), less the
+    subtrees of slack 2L + 1 - T >= 2 when _certified() holds."""
+    thin = _certified()
+    stack = [(w, i, i + 1, 1) for i, w in enumerate(_BASES)]
+    while stack:
+        w, i, turn, length = node = stack.pop()
+        yield node
+        for j in ((i + 1) % 3, (i + 2) % 3):
+            s, t = w[i] + w[3 - i - j], _next_turn(turn, j)  # the child's sum and turn
+            if s <= max_entry and not (thin and 2 * length + 3 - t >= 2):
+                stack.append((w[:j] + (s,) + w[j + 1:], j, t, length + 1))
+
+
+def _scaled(found, max_entry: int, first: int | None = None) -> list[dict]:
+    """Records of the multiples k * w, k * max(w) <= max_entry, of each
+    walked ((w, i), fields) in found, the first `first` of them if given, by
+    sum, then first entry that is not the sum (w[i == 0]), then sum's slot."""
+    rows = sorted(((k * w[i], k * w[i == 0], i), k, w, fields)  # distinct keys
+                  for (w, i), fields in found
+                  for k in range(1, min(max_entry // w[i], first or max_entry) + 1))
+    return [{"config": [k * e for e in w], **fields} for _, k, w, fields in rows[:first]]
 
 
 class LemmaReport(NamedTuple):
@@ -475,35 +508,21 @@ def lemma_report(max_entry: int) -> LemmaReport:
     configurations).  Under the abbreviated convention the window shifts
     by one for part of the space; those deviations are counted and
     sampled rather than listed in full, since they reflect the convention
-    choice, not the dialogue.
+    choice, not the dialogue.  It reads _walk: 1,711 nodes at 10^12.
     """
     _require_int("max_entry", max_entry, 2)
-    violations = []
-    abbr_dev = 0
-    abbr_samples = []
-
-    def record(length: int) -> dict:
-        # the configuration the loop is at, with the chain length reported
-        return {"config": list(w), "announcer": PLAYERS[player], "round": rnd,
-                "chain_length": length, "bounds": [lo, hi]}
-
-    for w, (turn, player), l_abbr, l_full in _all_configs(max_entry):
-        rnd = (turn + 2) // 3
-        lo, hi = bounds(PLAYERS[player], rnd)
-        if not lo <= l_full <= hi:
-            violations.append(record(l_full))
-        if not lo <= l_abbr <= hi:
-            abbr_dev += 1
-            if len(abbr_samples) < 5:
-                abbr_samples.append(record(l_abbr))
-    return LemmaReport(
-        max_entry=max_entry,
-        convention="full-chain",
-        checked=3 * max_entry * (max_entry - 1) // 2,
-        violations=violations,
-        abbreviated_deviations=abbr_dev,
-        abbreviated_samples=abbr_samples,
-    )
+    violations, deviations = [], []
+    for w, i, turn, length in _walk(max_entry):
+        announcer, rnd = PLAYERS[(turn - 1) % 3], (turn + 2) // 3
+        lo, hi = bounds(announcer, rnd)
+        for found, chain_len in ((violations, length), (deviations, max(length - 1, 1))):
+            if not lo <= chain_len <= hi:
+                found.append(((w, i), {"announcer": announcer, "round": rnd,
+                                       "chain_length": chain_len, "bounds": [lo, hi]}))
+    return LemmaReport(max_entry, "full-chain", 3 * max_entry * (max_entry - 1) // 2,
+                       _scaled(violations, max_entry),
+                       sum(max_entry // w[i] for (w, i), _ in deviations),
+                       _scaled(deviations, max_entry, 5))
 
 
 class DivergenceReport(NamedTuple):
@@ -513,9 +532,10 @@ class DivergenceReport(NamedTuple):
 
 
 def divergence_sweep(max_entry: int) -> DivergenceReport:
-    """Every configuration must announce within 3 * (L + 2) turns."""
+    """Configurations that announce past turn 3 * (L + 2), L the abbreviated
+    chain length; the module docstring proves there are none."""
     _require_int("max_entry", max_entry, 2)
-    divergences = [{"config": list(w), "turn": turn, "cap": 3 * (length + 2)}
-                   for w, (turn, _), length, _ in _all_configs(max_entry)
-                   if turn > 3 * (length + 2)]
-    return DivergenceReport(max_entry, 3 * max_entry * (max_entry - 1) // 2, divergences)
+    found = [((w, i), {"turn": turn, "cap": cap}) for w, i, turn, length in _walk(max_entry)
+             if turn > (cap := 3 * (max(length - 1, 1) + 2))]
+    return DivergenceReport(max_entry, 3 * max_entry * (max_entry - 1) // 2,
+                            _scaled(found, max_entry))

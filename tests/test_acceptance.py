@@ -50,10 +50,9 @@ from fibtree import (
     value,
     weight,
 )
-from fibtree.threehat import _all_configs
 
 from fixtures import LENGTH4_TABLE, VARIANCE_SPOT_VALUES
-from oracle import fib_by_addition, variance_by_positions
+from oracle import configs_by_slots, fib_by_addition, variance_by_positions
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -223,7 +222,7 @@ def test_criterion_10_hat_battery():
         t = dialogue_simulate(w)
         ok &= (t.announcer, t.turn) == (announcer, turn)
 
-    for w, *_ in _all_configs(50):
+    for w in configs_by_slots(50):
         base_turn = first_announcement(w)
         for lam in range(2, 6):
             ok &= first_announcement(tuple(lam * e for e in w)) == base_turn

@@ -32,9 +32,10 @@ from fibtree import (
 )
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
-from fibtree.threehat import _all_configs, _chain_length_normalized
-from oracle import (chain_length_by_sigma, divergence_sweep_by_configs, fib_by_addition,
-                    is_prime_by_division, lemma_report_by_configs, reference_announcement)
+from fibtree.threehat import _certified, _chain_length_normalized, _walk
+from oracle import (chain_length_by_sigma, configs_by_slots, divergence_sweep_by_configs,
+                    fib_by_addition, is_prime_by_division, lemma_report_by_configs,
+                    reference_announcement)
 
 
 # -------------------------------------------------------- configurations
@@ -182,16 +183,21 @@ def test_transcript_holds_no_turn_records():
 
 def test_closed_form_matches_recursion_everywhere():
     # every configuration with entries <= 30, against the slow recursion
-    for w, *_ in _all_configs(30):
+    for w in configs_by_slots(30):
         turn, player = first_announcement(w)
         assert reference_announcement(w) == turn, w
         assert w[player] == max(w)
 
 
-def _announcement_by_subtraction(w):
+def _next_turn(turn, slot):
+    return turn + 1 + (slot - turn) % 3
+
+
+def _announcement_by_subtraction(w, next_turn=_next_turn):
     """first_announcement one sigma step at a time, as it was computed
     before runs were folded: walk down to the base, then replay the turn
-    recursion once per step."""
+    recursion once per step, each step moving to next_turn(turn, slot of
+    the maximum)."""
     cur = validate_config(w)
     path = []
     while True:
@@ -205,8 +211,7 @@ def _announcement_by_subtraction(w):
         nxt[i] = abs(x - y)
         cur = tuple(nxt)
     for i in reversed(path):
-        lo = turn + 1
-        turn = lo + ((i + 1 - lo) % 3)
+        turn = next_turn(turn, i)
     return turn, (turn - 1) % 3
 
 
@@ -243,9 +248,68 @@ def test_divergence_sweep_is_empty():
     assert report.divergences == []
 
 
-def test_all_configs_yields_each_configuration_once():
-    configs = [w for w, *_ in _all_configs(30)]
-    assert len(set(configs)) == len(configs) == 3 * 30 * 29 // 2
+def _walked_configs(max_entry):
+    """Every multiple of every walked node, as (config, turn, full chain length)."""
+    return [(tuple(k * e for e in w), turn, length)
+            for w, i, turn, length in _walk(max_entry)
+            for k in range(1, max_entry // w[i] + 1)]
+
+
+def test_unpruned_walk_holds_every_configuration_once(monkeypatch):
+    monkeypatch.setattr(fibtree.threehat, "_certified", lambda: False)
+    assert sorted(w for w, *_ in _walked_configs(30)) == sorted(configs_by_slots(30))
+
+
+def test_walk_turns_and_lengths_match_the_closed_form(monkeypatch):
+    # every configuration with maximum <= 200, the skipped subtrees included
+    monkeypatch.setattr(fibtree.threehat, "_certified", lambda: False)
+    for w, turn, length in _walked_configs(200):
+        assert first_announcement(w) == (turn, (turn - 1) % 3), w
+        assert chain_length(w) == max(length - 1, 1), w
+
+
+def test_certified_walk_skips_the_slack_subtrees():
+    assert _certified()
+    # 91 nodes stand for the 239,400 configurations with entries <= 400
+    assert len(list(_walk(400))) == 91
+
+
+def _steps_of_two_or_three(turn, slot):
+    return turn + 2 + (slot - turn) % 3
+
+
+def test_a_step_of_three_fails_the_certificate(monkeypatch):
+    # a world whose turns step by 2 or 3, with first_announcement replayed
+    # by the same steps so that the per-configuration loops follow it: the
+    # window breaks there, the certificate refuses it, and the walk then
+    # visits every node and finds what the loops find
+    monkeypatch.setattr(fibtree.threehat, "_next_turn", _steps_of_two_or_three)
+    assert not _certified()
+    monkeypatch.setattr(fibtree.threehat, "first_announcement",
+                        lambda w: _announcement_by_subtraction(w, _steps_of_two_or_three))
+    report = lemma_report(60)
+    assert report.violations
+    assert report == lemma_report_by_configs(60)
+    assert divergence_sweep(60) == divergence_sweep_by_configs(60)
+    # the skips the certificate guards would lose violations here
+    monkeypatch.setattr(fibtree.threehat, "_certified", lambda: True)
+    assert lemma_report(60).violations != report.violations
+
+
+def test_sweeps_at_a_trillion():
+    # 1,711 walked nodes stand for 1.5e24 configurations; the same count
+    # equals the per-configuration loops' at N = 2 to 400 below
+    assert _certified()  # else the walk would visit every node
+    start = time.perf_counter()
+    report = lemma_report(10**12)
+    lemma_s = time.perf_counter() - start
+    start = time.perf_counter()
+    divergences = divergence_sweep(10**12).divergences
+    sweep_s = time.perf_counter() - start
+    assert report.violations == [] and divergences == []
+    assert report.abbreviated_deviations == 4_549_383_586_367
+    assert report.abbreviated_samples == lemma_report(60).abbreviated_samples
+    assert lemma_s < 1 and sweep_s < 1
 
 
 # The judges are the per-configuration loops the sweeps replaced; whole
@@ -450,6 +514,27 @@ def test_criteria_match_the_states_grouped_by_value():
                     survivors, excluded, considered), (solver, n, m)
 
 
+def _no_split(*args):
+    raise AssertionError("apply_criteria read a split's chain length")
+
+
+def test_criteria_skip_the_splits_when_the_window_is_empty(monkeypatch):
+    # at a prime near 10^6 the prime stage lifts p3 above q2 in these rounds;
+    # the reports were captured when every split was still read (0.6 s each)
+    monkeypatch.setattr(fibtree.threehat, "_abbreviated_length", _no_split)
+    for (solver, n), considered, excluded in [
+        (("C", 1), 7, {"chain_length": 0, "value_lower_bound": 0,
+                       "prime_upper_bound": 7, "divisibility": 0}),
+        (("A", 2), 15, {"chain_length": 1, "value_lower_bound": 0,
+                        "prime_upper_bound": 14, "divisibility": 0}),
+        (("C", 6), 262_143, {"chain_length": 255, "value_lower_bound": 0,
+                             "prime_upper_bound": 261_888, "divisibility": 0}),
+    ]:
+        report = apply_criteria(PuzzleQuery(solver, n, 999_983))
+        assert (report.survivors, report.excluded, report.considered) == (
+            [], excluded, considered), (solver, n)
+
+
 def test_criteria_pipeline_prime_target():
     report = apply_criteria(PuzzleQuery("A", 2, 7))
     assert report.survivors == [(2, 5, 7), (3, 4, 7)]
@@ -498,30 +583,32 @@ def test_solve_candidates_are_the_non_base_sum_splits(m):
 
 
 def test_solve_cost_at_a_large_value():
-    # m - 2 announcements and m/2 quotient sums, streamed: about 0.8 s and
-    # 4 KB traced, where a list of the m candidates would take 13 MB;
+    # m - 2 announcements and m/2 quotient sums: about 0.8 s at 10^5, where
     # walking the tree took time quadratic in m
     q = PuzzleQuery("B", 2, 10**5)
     start = time.perf_counter()
     solutions = solve_puzzle(q).solutions
     elapsed = time.perf_counter() - start
-    tracemalloc.start()
-    try:
-        assert solve_puzzle(q).solutions == solutions
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert [s.config for s in solutions] == sorted({s.config for s in solutions})
     assert all(s.config[1] == 10**5 and s.round == 2 for s in solutions)
     assert elapsed < 5
+    # streamed: traced at 2 * 10^4 (tracing slows the solver sixfold), a
+    # list of the m candidates would take about 2.6 MB
+    tracemalloc.start()
+    try:
+        traced = solve_puzzle(PuzzleQuery("B", 2, 2 * 10**4)).solutions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced and all(s.config[1] == 2 * 10**4 and s.round == 2 for s in traced)
     assert peak < 1 << 20
 
 
 def test_brute_solve_streams_its_candidates():
-    # about 2 * cap candidates: a list of them peaked at 24 MB traced
+    # about 2 * cap candidates: a list of them would take about 4.8 MB traced
     tracemalloc.start()
     try:
-        solutions = brute_solve(PuzzleQuery("A", 1, 3), 100_000)
+        solutions = brute_solve(PuzzleQuery("A", 1, 3), 20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
