@@ -14,36 +14,30 @@ announces at their turn as soon as the alternative is refuted: either
 invalid outright, or the alternative world would already have produced
 an announcement at a strictly earlier turn under the same rules.
 
-first_announcement evaluates that recursion in closed form:
+The announcer is the holder of the maximum.  A base world announces at
+the double holder's first turn (A at 1, B at 2, C at 3).  Any other
+world, its maximum in slot i, announces at i's first turn after its
+sigma-reduced world, whose maximum sits in slot k and who announced at a
+turn = k + 1 (mod 3): one step adds 1 + (i - k - 1) % 3 turns, 1 or 2
+whatever the turn.  So the turn is the base's plus one such step per
+sigma step, and first_announcement sums them going down the chain.
 
-  * in a base world the double holder announces at their first turn
-    (A at 1, B at 2, C at 3);
-  * otherwise the holder of the maximum announces at the first of their
-    turns strictly after the announcement turn of the sigma-reduced
-    world, positions kept in place.
+Why this is exact (induction on the turn): suppose turns below t are
+settled.  A non-max player's alternative world puts the sum in their own
+hand; it sigma-reduces back to the world under discussion, so it
+announces later and never refutes in time.  The max holder's alternative
+is the sigma-reduction, settled earlier, which refutes at their next
+turn.  The oracle reference_announcement (tests/oracle.py) runs the turn
+recursion literally, and the suite checks both agree on small worlds.
 
-Why this is exact (induction on the turn bound): suppose turns below t
-are settled.  A non-max player's alternative world puts the sum in
-their own hand; that world sigma-reduces back to the very world under
-discussion, so its closed-form announcement lands strictly later and
-can never refute the alternative in time.  The max holder's alternative
-is the sigma-reduction itself, settled earlier by induction, which
-yields exactly the slot-ceiling rule above.  The test suite's oracle
-reference_announcement (tests/oracle.py) implements the turn recursion
-literally, memoized and turn-capped, and the suite checks that both
-agree exhaustively on small configurations.
-
-Every dialogue announces by turn 2L + 1, L the full chain length.  The
-positioned coprime configurations form a tree: the roots, the placings of
-(1, 1, 2), have L = 1 and turn slot + 1, and a node with its maximum in
-slot i has a child for each slot j != i, with the sum of the other two
-entries in slot j, L one more, and turn T' the first of slot j after the
-parent's T.  As T = i + 1 (mod 3), T' - T is 1 or 2, never 3, so L <= T
-and the slack 2L + 1 - T (0, 1 or 2 at a root) never falls.  Hence L
-always lies in the window bounds(announcer, round) = (T // 2, T), and
-T < 3 * (L + 1) keeps within the turn cap 3 * (abbreviated L + 2).  A
-subtree of slack >= 2 holds no violation, no abbreviated deviation
-(T >= 2L) and no divergence; the sweeps skip it when _certified() holds.
+Hence L <= T <= 2L + 1, L the full chain length and T the turn: a base
+has L = 1 and T in {1, 2, 3}, and each step adds 1 to L and 1 or 2 to T.
+So L lies in the window bounds(announcer, round) = (T // 2, T), and
+T < 3 * (L + 1) keeps within the turn cap 3 * (abbreviated L + 2).  The
+slack 2L + 1 - T never falls from a world to the worlds that reduce to
+it, its children in _walk, so a subtree of slack >= 2 holds no
+violation, no abbreviated deviation (T >= 2L) and no divergence; the
+sweeps skip it when _certified() holds.
 
 Results are plain NamedTuples; the command line decides how they are
 written.
@@ -157,49 +151,40 @@ def bounds(solver: str, n: int) -> tuple[int, int]:
 
 def first_announcement(w) -> tuple[int, int]:
     """(turn, player index) of the first announcement; closed form, one
-    divmod per Euclid run of the sorted pair.
-
-    The sigma steps are walked run by run.  With lo < mid the two smaller
-    entries and the maximum lo + mid in slot i, a step writes mid - lo
-    into slot i, and while lo stays the smallest entry the maximum
-    alternates between slot i and the slot k of mid.  With
-    mid = q*lo + r, the run takes q steps and leaves (r, lo) when r > 0,
-    the smallest now in slot i for odd q and in slot k for even q; when
-    r == 0 it takes q - 1 steps to the base (lo, lo, 2lo).
-
-    The turn recursion then replays each run backwards.  Its first step
-    moves the turn to the next turn of the run's last max holder; from
-    there the holders alternate between two slots, and the next turn of
-    the other slot and then back again is exactly 3 turns on, so each
-    two further steps add 3.
-    """
+    divmod per Euclid run of the two smaller entries (see _turn)."""
     cur = validate_config(w)
     i = max(range(3), key=cur.__getitem__)  # the sum entry is the unique max
     j, k = (i + 1) % 3, (i + 2) % 3
-    lo, mid = cur[j], cur[k]
-    if lo > mid:
-        lo, mid, j, k = mid, lo, k, j
-    runs: list[tuple[int, int, int]] = []  # (first max slot, second, steps)
+    if cur[j] > cur[k]:
+        j, k = k, j
+    turn = _turn(cur[j], cur[k], i, j, k)
+    return turn, (turn - 1) % 3
+
+
+def _turn(lo: int, mid: int, i: int, j: int, k: int) -> int:
+    """The announcement turn of the world with lo <= mid in slots j and k
+    and their sum in slot i, unchecked.
+
+    The steps are summed run by run going down.  With mid = q*lo + r, a
+    run takes n = q steps to (r, lo) when r > 0 and q - 1 to the base
+    (lo, lo, 2lo) when r == 0.  Its maximum alternates between slots i
+    and k, so its first step adds 1 + (i - k - 1) % 3 turns (module
+    docstring) and each pair of steps adds 3.  After an odd run the
+    smallest entry sits in slot i and the maximum in k; after an even
+    one they sit in k and i.
+    """
+    turn = 0
     while True:
         q, r = divmod(mid, lo)
+        n = q if r else q - 1
+        turn += 3 * (n // 2) + n % 2 * (1 + (i - k - 1) % 3)
         if not r:
-            if q > 1:
-                runs.append((i, k, q - 1))
-            turn = (i if q % 2 else k) + 1
-            break
-        runs.append((i, k, q))
+            return turn + (i if q % 2 else k) + 1
         if q % 2:
             i, j, k = k, i, j
         else:
             j, k = k, j
         lo, mid = r, lo
-    for i, k, n in reversed(runs):
-        last, other = (i, k) if n % 2 else (k, i)
-        turn += 1 + (last - turn) % 3
-        turn += 3 * ((n - 1) // 2)
-        if not n % 2:
-            turn += 1 + (other - turn) % 3
-    return turn, (turn - 1) % 3
 
 
 class TurnRecord(NamedTuple):
@@ -378,68 +363,61 @@ class SolveResult(NamedTuple):
     solutions: list[Solution]
 
 
-def _verified_solutions(query: PuzzleQuery, candidates) -> list[Solution]:
-    out = []
-    for w in candidates:
-        turn, player = first_announcement(w)
-        if PLAYERS[player] == query.solver and (turn + 2) // 3 == query.rounds:
-            out.append(Solution(w, query.solver, query.rounds, turn))
-    return sorted(out)  # the candidates are distinct
-
-
 def solve_puzzle(query: PuzzleQuery) -> SolveResult:
     """All positioned configurations answering the query, dialogue-verified.
 
-    The announcer always holds the sum, so the candidates are the splits
-    m = y + (m - y) of the query value m, with m in the solver's slot and
-    (y, m - y) in the next two, less the base y = m - y.  These are the
-    states of apply_criteria's divisibility stage, scaled up to m and
-    placed both ways.  The chain-length window of criterion 1 is reported
-    via apply_criteria but deliberately not used to prune: the window is
-    calibrated to a cue-based dialogue model and cuts genuine solutions
-    under the announcement semantics used here (brute_solve agrees with
-    this choice; base configurations remain out of reach of any
-    state-scaling pipeline and only brute_solve finds them).
+    The announcer always holds the sum, so the answers are the splits
+    m = y + (m - y), y < m - y, of the query value m, with m in the
+    solver's slot x and (y, m - y) placed both ways in the next two; a
+    placing answers when its turn is 3 * rounds - 2 + x.  These are the
+    states of apply_criteria's divisibility stage, scaled up to m.  The
+    chain-length window of criterion 1 is reported via apply_criteria but
+    deliberately not used to prune: the window is calibrated to a
+    cue-based dialogue model and cuts genuine solutions under the
+    announcement semantics used here (brute_solve agrees with this
+    choice; base configurations remain out of reach of any state-scaling
+    pipeline and only brute_solve finds them).
 
-    Cost at value m: m - 2 first announcements for even m and m - 1 for
-    odd m, plus apply_criteria's (m - 1)//2 quotient sums.  Memory: the
-    solutions, as the candidates stream one at a time.
+    Cost at value m: two unchecked turns (_turn) a split, (m - 1)//2
+    splits, plus apply_criteria's (m - 1)//2 quotient sums, O(m log m)
+    in all.  Memory: the solutions.
     """
     criteria = apply_criteria(query)
     x = PLAYERS.index(query.solver)
-    m = query.value
-
-    def candidates():
-        for y in range(1, m):
-            if 2 * y != m:
-                w = [0, 0, 0]
-                w[x] = m
-                w[(x + 1) % 3], w[(x + 2) % 3] = y, m - y
-                yield tuple(w)
-
-    return SolveResult(query, criteria, _verified_solutions(query, candidates()))
+    m, target = query.value, 3 * query.rounds - 2 + x
+    placings = ((x + 1) % 3, (x + 2) % 3), ((x + 2) % 3, (x + 1) % 3)
+    out = []
+    for y in range(1, (m + 1) // 2):
+        for a, b in placings:  # y in slot a, m - y in slot b
+            if _turn(y, m - y, x, a, b) == target:
+                w = [m, m, m]
+                w[a], w[b] = y, m - y
+                out.append(Solution(tuple(w), query.solver, query.rounds, target))
+    return SolveResult(query, criteria, sorted(out))
 
 
 def brute_solve(query: PuzzleQuery, cap: int) -> list[Solution]:
     """Exhaustive oracle: simulate every valid configuration with the
-    solver's value fixed, entries up to cap.  Cost: O(cap) first
-    announcements, holding only the solutions, as the candidates stream."""
+    solver's value fixed, entries up to cap, each with its own checked
+    first_announcement.  Cost: O(cap) first announcements, holding only
+    the solutions."""
     _require_int("cap", cap)
     if cap < query.value:
         raise DomainError("cap must be at least the query value")
     x = PLAYERS.index(query.solver)
     m = query.value
-
-    def candidates():
-        for y in range(1, cap + 1):
-            for z in (m + y, m - y, y - m):  # each makes one entry the sum
-                if 1 <= z <= cap:
-                    w = [0, 0, 0]
-                    w[x] = m
-                    w[(x + 1) % 3], w[(x + 2) % 3] = y, z
-                    yield tuple(w)
-
-    return _verified_solutions(query, candidates())
+    out = []
+    for y in range(1, cap + 1):
+        for z in (m + y, m - y, y - m):  # each makes one entry the sum
+            if 1 <= z <= cap:
+                w = [0, 0, 0]
+                w[x] = m
+                w[(x + 1) % 3], w[(x + 2) % 3] = y, z
+                w = tuple(w)
+                turn, player = first_announcement(w)
+                if PLAYERS[player] == query.solver and (turn + 2) // 3 == query.rounds:
+                    out.append(Solution(w, query.solver, query.rounds, turn))
+    return sorted(out)  # the configurations are distinct
 
 
 # ------------------------------------------------------------ the sweeps

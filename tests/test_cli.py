@@ -977,6 +977,15 @@ GOLDEN_DIGESTS = [
     ("hat solve --solver B --rounds 3 --value 5040", "csv", 0,
      "fcf85241e478a4296bd6a9bb6ad636e62dc0f5154a195b227a41a72264835d7b",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 100000", "text", 0,
+     "93a5e4589fc89964a6f1171b433e9a2e7159c0e7c0116987aa232daaa2a39837",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 100000", "json", 0,
+     "7716a386e625350eecdfddec5a236a25ab5bfc1f7b1b445ab2eba9838e8bf8f7",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hat solve --solver A --rounds 3 --value 100000", "csv", 0,
+     "4eb8d4d90684ba94b1af5d75242762ab18a9baf6f8a66245545d95ab0312b484",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("frobnicate", "text", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "567a1073354574fa9f544a380dc888ef42f8b5f67f4bb35b34105d74c2c906e7"),
@@ -1123,7 +1132,7 @@ PEAK_RSS_BOUNDS = [
     # one span recursion, O(1) a length
     ("scan roots --max-entry 400 --depth 30 --format json", 0, 32),
     ("scan reflection --max-len 30 --format json", 0, 32),
-    # candidates from the sum splits of the value, streamed
+    # two unchecked turns a sum split of the value, holding only the solutions
     ("hat solve --solver B --rounds 2 --value 100000 --format json", 0, 32),
     # brute_solve streams its candidates
     ("hat solve --solver A --rounds 1 --value 3 --oracle-cap 1000000 --format json",

@@ -32,6 +32,7 @@ from fibtree import (
 )
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
+from fibtree.engine import _quotient_sum
 from fibtree.threehat import _certified, _chain_length_normalized, _walk
 from oracle import (chain_length_by_sigma, configs_by_slots, divergence_sweep_by_configs,
                     fib_by_addition, is_prime_by_division, lemma_report_by_configs,
@@ -225,6 +226,48 @@ def test_folded_runs_match_the_step_by_step_walk():
 def test_long_run_announces_in_one_division():
     # Recorded from the step-by-step walk: ten million sigma steps.
     assert first_announcement((1, 10**7, 10**7 + 1)) == (15_000_000, 2)
+
+
+def test_folded_runs_match_the_walk_at_large_entries():
+    # seeded pairs up to 10^18 whose Euclid runs hold quotients in the
+    # thousands, short enough in total for the step-by-step walk
+    rng = random.Random(27)
+    checked = 0
+    while checked < 2000:
+        a, b = rng.randint(1, 10**18 // 2), rng.randint(1, 10**18 // 2)
+        if _quotient_sum(max(a, b), min(a, b)) <= 5000:
+            checked += 1
+            for w in ((a, b, a + b), (b, a + b, a), (a + b, a, b)):  # the sum in each slot
+                assert first_announcement(w) == _announcement_by_subtraction(w), w
+
+
+def _from_quotients(quotients):
+    """The coprime pair (lo, mid), lo <= mid, whose Euclid runs have these
+    quotients, the last division leaving r = 0."""
+    lo, mid = 1, quotients[-1]
+    for q in reversed(quotients[:-1]):
+        lo, mid = mid, q * mid + lo
+    return lo, mid
+
+
+@pytest.mark.parametrize("big", [1000, 1001])
+@pytest.mark.parametrize("quotients", [
+    ["Q", 3, 1, 2], ["Q", 2], ["Q", 5, 3],       # the first run
+    [2, 1, "Q", 4, 3], [1, 3, "Q", 2],           # a middle run
+    [3, 1, 2, "Q"], [2, "Q"], [1, "Q"], ["Q"],   # the last run, r = 0
+])
+def test_one_large_quotient_in_any_run_matches_the_walk(big, quotients):
+    lo, mid = _from_quotients([big if q == "Q" else q for q in quotients])
+    scale = 10**12 + 39
+    for w in set(permutations((scale * lo, scale * mid, scale * (lo + mid)))):
+        assert first_announcement(w) == _announcement_by_subtraction(w), w
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_last_run_of_zero_or_one_step_matches_the_walk(q):
+    # r = 0 with q = 1 is a base, announced at once; q = 2 is one step from one
+    for w in set(permutations((10**18, q * 10**18, (q + 1) * 10**18))):
+        assert first_announcement(w) == _announcement_by_subtraction(w), w
 
 
 def test_reference_respects_its_cap():
@@ -583,8 +626,8 @@ def test_solve_candidates_are_the_non_base_sum_splits(m):
 
 
 def test_solve_cost_at_a_large_value():
-    # m - 2 announcements and m/2 quotient sums: about 0.8 s at 10^5, where
-    # walking the tree took time quadratic in m
+    # two unchecked turns and one quotient sum a split, m/2 splits: about
+    # 0.4 s at 10^5, where walking the tree took time quadratic in m
     q = PuzzleQuery("B", 2, 10**5)
     start = time.perf_counter()
     solutions = solve_puzzle(q).solutions
@@ -602,6 +645,19 @@ def test_solve_cost_at_a_large_value():
         tracemalloc.stop()
     assert traced and all(s.config[1] == 2 * 10**4 and s.round == 2 for s in traced)
     assert peak < 1 << 20
+
+
+def test_solve_validates_nothing_per_placing(monkeypatch):
+    # each placing is a split of the value, valid by construction
+    q = PuzzleQuery("B", 4, 720)
+    want = solve_puzzle(q)
+
+    def refuse(*args):
+        raise AssertionError("solve_puzzle checked a placing")
+
+    monkeypatch.setattr(fibtree.threehat, "validate_config", refuse)
+    monkeypatch.setattr(fibtree.threehat, "first_announcement", refuse)
+    assert solve_puzzle(q) == want
 
 
 def test_brute_solve_streams_its_candidates():
