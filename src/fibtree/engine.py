@@ -58,10 +58,11 @@ def as_state(triple) -> State:
 def apply_step(s: State, bit: int) -> State:
     """One transform applied to a raw triple (no reordering)."""
     a, b, c = as_state(s)
-    if bit == 0:
-        return (a, c, a + c)
-    if bit == 1:
-        return (b, c, b + c)
+    if type(bit) is int:  # bool is an int, and no bit is coerced
+        if bit == 0:
+            return (a, c, a + c)
+        if bit == 1:
+            return (b, c, b + c)
     raise DomainError(f"bit must be 0 or 1, got {bit!r}")
 
 
@@ -163,8 +164,7 @@ def reflect(code: str) -> str:
 def enumerate_codes(length: int) -> Iterator[str]:
     """All codes of a given length, ascending as integers with x1 most significant."""
     _require_int("length", length, 0)
-    for n in range(1 << length):
-        yield _code_str(n, length)
+    return (_code_str(n, length) for n in range(1 << length))
 
 
 def _code_str(x: int, length: int) -> str:
@@ -225,6 +225,11 @@ def enumerate_states(max_third_entry: int) -> Iterator[tuple[State, str]]:
     the bound, which is valid because c strictly increases along every edge.
     """
     _require_int("bound", max_third_entry, 3)
+    return _states(max_third_entry)
+
+
+def _states(max_third_entry: int) -> Iterator[tuple[State, str]]:
+    """enumerate_states, unchecked."""
     stack: list[tuple[State, str]] = [(ROOT, "")]
     while stack:
         (a, b, c), code = stack.pop()

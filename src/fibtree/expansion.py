@@ -123,6 +123,12 @@ class Leaf:
     """A plain Fibonacci number F(index)."""
     index: int
 
+    def __post_init__(self):
+        # type(), not isinstance(): bool is an int, and no index is coerced;
+        # the range is tree_value's to check
+        if type(self.index) is not int:
+            raise DomainError(f"a leaf index must be an integer, got {self.index!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class SumNode:
@@ -130,6 +136,12 @@ class SumNode:
     k: int
     a: "ExpansionTree"
     b: "ExpansionTree"
+
+    def __post_init__(self):
+        if type(self.k) is not int:
+            raise DomainError(f"a sum node's k must be an integer, got {self.k!r}")
+        if not isinstance(self.a, (Leaf, SumNode)) or not isinstance(self.b, (Leaf, SumNode)):
+            raise DomainError(f"a sum node's terms must be nodes, got {(self.a, self.b)!r}")
 
 
 ExpansionTree = Union[Leaf, SumNode]

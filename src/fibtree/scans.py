@@ -327,6 +327,11 @@ def iter_conjecture_violations(length: int, weight_filter: int | None = None):
     _require_int("length", length, 1)
     if weight_filter is not None:
         _require_int("weight_filter", weight_filter)
+    return _violations(length, weight_filter)
+
+
+def _violations(length: int, weight_filter: int | None):
+    """iter_conjecture_violations, unchecked."""
     from .metrics import cluster_variance
 
     row = level_row(length)[2]

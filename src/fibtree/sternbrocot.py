@@ -51,16 +51,25 @@ def _right(p: int, q: int) -> tuple[int, int]:
     return p + q, q
 
 
+def _terms(q: Fraction) -> tuple[int, int]:
+    """The numerator and denominator of a seed, a Fraction or an int."""
+    # type(), not isinstance(), for the int: bool is an int, and no seed is coerced
+    if type(q) is not int and not isinstance(q, Fraction):
+        raise DomainError(f"a seed must be a Fraction or an integer, got {q!r}")
+    return q.numerator, q.denominator
+
+
 def f_L(q: Fraction) -> Fraction:
-    return Fraction(*_left(q.numerator, q.denominator))
+    return Fraction(*_left(*_terms(q)))
 
 
 def f_R(q: Fraction) -> Fraction:
-    return Fraction(*_right(q.numerator, q.denominator))
+    return Fraction(*_right(*_terms(q)))
 
 
 def apply_path(path: str, seed: Fraction) -> Fraction:
     """Apply an L/R word to a seed, leftmost letter first."""
+    _terms(seed)  # checked here too, as an empty word applies no map
     q = seed
     for ch in path:
         if ch == "L":

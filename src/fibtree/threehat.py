@@ -97,8 +97,12 @@ def sigma_reduce(s) -> tuple[int, int, int]:
 def iter_chain(s) -> Iterator[tuple[int, int, int]]:
     """The sigma iteration of a configuration, sorted entries, one link at
     a time, down to and including its base."""
-    # validated once: each link is the sorted sigma_reduce of the last
-    a, b, c = sorted(validate_config(s))
+    return _links(*sorted(validate_config(s)))
+
+
+def _links(a: int, b: int, c: int) -> Iterator[tuple[int, int, int]]:
+    """iter_chain from a sorted configuration, unchecked: each link is
+    the sorted sigma_reduce of the last."""
     yield (a, b, c)
     while a != b:
         a, b, c = (a, b - a, b) if a < b - a else (b - a, a, b)
@@ -152,38 +156,38 @@ def bounds(solver: str, n: int) -> tuple[int, int]:
 def first_announcement(w) -> tuple[int, int]:
     """(turn, player index) of the first announcement; closed form, one
     divmod per Euclid run of the two smaller entries (see _turn)."""
-    cur = validate_config(w)
-    i = max(range(3), key=cur.__getitem__)  # the sum entry is the unique max
-    j, k = (i + 1) % 3, (i + 2) % 3
-    if cur[j] > cur[k]:
-        j, k = k, j
-    turn = _turn(cur[j], cur[k], i, j, k)
+    a, b, c = validate_config(w)
+    if a < b:  # the sum is the unique maximum; _turn orders lo and mid
+        i, lo, mid, o = (1, a, c, 1) if b > c else (2, a, b, 2)
+    else:
+        i, lo, mid, o = (0, c, b, 1) if a > c else (2, b, a, 1)
+    turn = _turn(lo, mid, i, o)[0]
     return turn, (turn - 1) % 3
 
 
-def _turn(lo: int, mid: int, i: int, j: int, k: int) -> int:
-    """The announcement turn of the world with lo <= mid in slots j and k
-    and their sum in slot i, unchecked.
+def _turn(lo: int, mid: int, i: int, o: int) -> tuple[int, int]:
+    """The announcement turns of the world with its sum in slot i, mid in
+    slot i + o (o is 1 or 2) and lo in the third, and of its mirror, lo
+    and mid swapped; unchecked.  lo > mid reads as a run of no steps.
 
-    The steps are summed run by run going down.  With mid = q*lo + r, a
-    run takes n = q steps to (r, lo) when r > 0 and q - 1 to the base
-    (lo, lo, 2lo) when r == 0.  Its maximum alternates between slots i
-    and k, so its first step adds 1 + (i - k - 1) % 3 turns (module
-    docstring) and each pair of steps adds 3.  After an odd run the
-    smallest entry sits in slot i and the maximum in k; after an even
-    one they sit in k and i.
+    With mid = q*lo + r, a run takes n = q steps to (r, lo) when r > 0
+    and q - 1 to the base (lo, lo, 2lo) when r == 0.  Its maximum
+    alternates between slots i and i + o, so its first step adds 3 - o
+    turns (module docstring) and each pair adds 3; an odd run moves the
+    sum to slot i + o, an even one flips o.  The mirror reflects the slots
+    about the first sum slot x, so each run adds 3n turns to the two
+    together, and its base sits in slot 2x - f when ours sits in f.
     """
-    turn = 0
+    x, turn, steps = i, 0, 0
     while True:
         q, r = divmod(mid, lo)
         n = q if r else q - 1
-        turn += 3 * (n // 2) + n % 2 * (1 + (i - k - 1) % 3)
+        steps += n
+        turn += 3 * (n // 2) + n % 2 * (3 - o)
         if not r:
-            return turn + (i if q % 2 else k) + 1
-        if q % 2:
-            i, j, k = k, i, j
-        else:
-            j, k = k, j
+            f = (i if q % 2 else i + o) % 3
+            return turn + f + 1, 3 * steps - turn + (2 * x - f) % 3 + 1
+        i, o = (i + o, o) if q % 2 else (i, 3 - o)
         lo, mid = r, lo
 
 
@@ -378,21 +382,20 @@ def solve_puzzle(query: PuzzleQuery) -> SolveResult:
     choice; base configurations remain out of reach of any state-scaling
     pipeline and only brute_solve finds them).
 
-    Cost at value m: two unchecked turns (_turn) a split, (m - 1)//2
-    splits, plus apply_criteria's (m - 1)//2 quotient sums, O(m log m)
-    in all.  Memory: the solutions.
+    Cost at value m: one unchecked fold (_turn) a split for both of its
+    placings, (m - 1)//2 splits, plus apply_criteria's (m - 1)//2
+    quotient sums, O(m log m) in all.  Memory: the solutions.
     """
     criteria = apply_criteria(query)
     x = PLAYERS.index(query.solver)
     m, target = query.value, 3 * query.rounds - 2 + x
-    placings = ((x + 1) % 3, (x + 2) % 3), ((x + 2) % 3, (x + 1) % 3)
     out = []
     for y in range(1, (m + 1) // 2):
-        for a, b in placings:  # y in slot a, m - y in slot b
-            if _turn(y, m - y, x, a, b) == target:
-                w = [m, m, m]
-                w[a], w[b] = y, m - y
-                out.append(Solution(tuple(w), query.solver, query.rounds, target))
+        turns = _turn(y, m - y, x, 2)  # (m, y, m - y) from slot x, and its mirror
+        if target in turns:
+            for turn, w in zip(turns, ((m, y, m - y), (m, m - y, y))):
+                if turn == target:  # rotated to put m in slot x
+                    out.append(Solution(w[-x:] + w[:-x], query.solver, query.rounds, turn))
     return SolveResult(query, criteria, sorted(out))
 
 

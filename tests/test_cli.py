@@ -1132,7 +1132,7 @@ PEAK_RSS_BOUNDS = [
     # one span recursion, O(1) a length
     ("scan roots --max-entry 400 --depth 30 --format json", 0, 32),
     ("scan reflection --max-len 30 --format json", 0, 32),
-    # two unchecked turns a sum split of the value, holding only the solutions
+    # one unchecked fold a sum split of the value, holding only the solutions
     ("hat solve --solver B --rounds 2 --value 100000 --format json", 0, 32),
     # brute_solve streams its candidates
     ("hat solve --solver A --rounds 1 --value 3 --oracle-cap 1000000 --format json",

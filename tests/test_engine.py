@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,6 +15,8 @@ from fibtree import (
     enumerate_codes,
     enumerate_states,
     evaluate,
+    iter_chain,
+    iter_conjecture_violations,
     level_row,
     level_rows,
     reduce_state,
@@ -281,6 +284,28 @@ def test_state_validation():
         as_state((1, 2, 4))
     with pytest.raises(DomainError):
         apply_step((1, 2, 3), 2)
+
+
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, Fraction(1), "0", "1", None])
+def test_apply_step_refuses_bits_that_are_not_the_ints_0_and_1(bit):
+    with pytest.raises(DomainError):
+        apply_step((1, 2, 3), bit)
+
+
+LAZY_STREAMS = {
+    "enumerate_codes": lambda: enumerate_codes(True),
+    "enumerate_states": lambda: enumerate_states(3.0),
+    "iter_conjecture_violations": lambda: iter_conjecture_violations(3.0),
+    "iter_conjecture_violations weight": lambda: iter_conjecture_violations(3, 1.5),
+    "iter_chain": lambda: iter_chain((1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_STREAMS))
+def test_streams_check_their_input_at_the_call(name):
+    # nothing is iterated: a generator would raise only at its first next()
+    with pytest.raises(DomainError):
+        LAZY_STREAMS[name]()
 
 
 STATE_CHECKS = {

@@ -274,6 +274,15 @@ def test_nodes_match_by_position_and_keyword():
     assert describe(expand_recursive("10011")) == "(F5*F3 + F4*F5)"
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+def test_nodes_refuse_fields_of_the_wrong_type(bad):
+    for build in (lambda: Leaf(bad), lambda: SumNode(bad, Leaf(2), Leaf(2)),
+                  lambda: SumNode(3, bad, Leaf(2)), lambda: SumNode(3, Leaf(2), bad),
+                  lambda: dataclasses.replace(expand_recursive("1011"), k=bad)):
+        with pytest.raises(DomainError):
+            build()
+
+
 def test_tree_value_refuses_indices_below_one():
     for tree in (Leaf(0), Leaf(-1), SumNode(0, Leaf(2), Leaf(2)), SumNode(-1, Leaf(2), Leaf(2)),
                  SumNode(3, Leaf(0), Leaf(2))):

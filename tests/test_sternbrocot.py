@@ -28,6 +28,18 @@ codes = st.text(alphabet="01", max_size=25)
 F = Fraction
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.5, 1.0, "1/2", "1", None])
+def test_maps_refuse_seeds_that_are_not_fractions_or_ints(seed):
+    for call in (f_L, f_R, partial(apply_path, "L"), partial(apply_path, "")):
+        with pytest.raises(DomainError):
+            call(seed)
+
+
+def test_maps_take_int_seeds():
+    assert f_L(3) == F(3, 4) and f_R(3) == F(4, 1)
+    assert apply_path("LR", 1) == F(3, 2)
+
+
 def test_seed_and_single_step_labels():
     assert u("") == F(1, 2) and v("") == F(2, 1)
     assert u("0") == F(1, 3) and u("1") == F(2, 3)

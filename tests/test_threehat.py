@@ -33,7 +33,7 @@ from fibtree import (
 from fixtures import NOT_INT_ENTRIES
 import fibtree.threehat
 from fibtree.engine import _quotient_sum
-from fibtree.threehat import _certified, _chain_length_normalized, _walk
+from fibtree.threehat import _certified, _chain_length_normalized, _turn, _walk
 from oracle import (chain_length_by_sigma, configs_by_slots, divergence_sweep_by_configs,
                     fib_by_addition, is_prime_by_division, lemma_report_by_configs,
                     reference_announcement)
@@ -239,6 +239,39 @@ def test_folded_runs_match_the_walk_at_large_entries():
             checked += 1
             for w in ((a, b, a + b), (b, a + b, a), (a + b, a, b)):  # the sum in each slot
                 assert first_announcement(w) == _announcement_by_subtraction(w), w
+
+
+def _placing(lo, mid, i, o):
+    """The configuration with lo + mid in slot i, mid in slot i + o and lo
+    in the third."""
+    w = [lo + mid] * 3
+    w[(i + o) % 3], w[(i - o) % 3] = mid, lo
+    return tuple(w)
+
+
+def _check_fold(lo, mid):
+    for i in range(3):
+        for o in (1, 2):
+            mirror = _placing(mid, lo, i, o)  # lo and mid swapped
+            assert _turn(lo, mid, i, o) == (first_announcement(_placing(lo, mid, i, o))[0],
+                                            first_announcement(mirror)[0]), (lo, mid, i, o)
+
+
+def test_one_fold_turns_a_placing_and_its_mirror():
+    # every positioned configuration with maximum <= 300, bases included
+    for total in range(2, 301):
+        for lo in range(1, total // 2 + 1):
+            _check_fold(lo, total - lo)
+
+
+def test_one_fold_turns_both_placings_at_large_entries():
+    rng = random.Random(28)
+    checked = 0
+    while checked < 2000:
+        lo, mid = sorted((rng.randint(1, 10**18 // 2), rng.randint(1, 10**18 // 2)))
+        if _quotient_sum(mid, lo) <= 5000:
+            checked += 1
+            _check_fold(lo, mid)
 
 
 def _from_quotients(quotients):
@@ -626,8 +659,8 @@ def test_solve_candidates_are_the_non_base_sum_splits(m):
 
 
 def test_solve_cost_at_a_large_value():
-    # two unchecked turns and one quotient sum a split, m/2 splits: about
-    # 0.4 s at 10^5, where walking the tree took time quadratic in m
+    # one unchecked fold and one quotient sum a split, m/2 splits: about
+    # 0.2 s at 10^5, where walking the tree took time quadratic in m
     q = PuzzleQuery("B", 2, 10**5)
     start = time.perf_counter()
     solutions = solve_puzzle(q).solutions
@@ -658,6 +691,20 @@ def test_solve_validates_nothing_per_placing(monkeypatch):
     monkeypatch.setattr(fibtree.threehat, "validate_config", refuse)
     monkeypatch.setattr(fibtree.threehat, "first_announcement", refuse)
     assert solve_puzzle(q) == want
+
+
+def test_solve_folds_each_split_once(monkeypatch):
+    # 359 splits y + (720 - y), y < 720 - y, each placed both ways
+    q = PuzzleQuery("B", 4, 720)
+    want, calls = solve_puzzle(q), []
+
+    def counted(*args):
+        calls.append(args)
+        return _turn(*args)
+
+    monkeypatch.setattr(fibtree.threehat, "_turn", counted)
+    assert solve_puzzle(q) == want
+    assert len(calls) == 359
 
 
 def test_brute_solve_streams_its_candidates():
